@@ -23,7 +23,8 @@ Acceptance gates (asserted when run as a script or under pytest):
 * full solver runs (Jacobi, power iteration) through compiled-backend
   pipelines are bit-identical to legacy-scatter pipelines, iteration for
   iteration;
-* cached solver iterations speed up by >= 1.5x;
+* a cached Jacobi solve (whole solve, warm cache) is >= 1.5x faster on
+  the compiled backend than on the legacy scatter path;
 * the steady-state ``pipeline.execute`` memo hit binds the compiled
   handle by identity — zero ``plan_for`` lookups per call.
 
@@ -215,9 +216,10 @@ def measure_solvers() -> dict:
         and power_with.eigenvalue == power_without.eigenvalue
     )
 
-    # Per-iteration replay cost with a warm cache (the steady state of a
-    # solver fleet): schedule once, then time full solves whose
-    # preprocessing is a cache hit, normalizing by SpMV count.
+    # Whole-solve time with a warm cache (the steady state of a solver
+    # fleet): schedule once, then time full solves whose preprocessing is
+    # a cache hit.  These are solve times, not kernel times: each also
+    # pays the off-diagonal split and the cache lookup once.
     plan_pipeline = GustPipeline(LENGTH, cache=True, backend="bincount")
     scatter_pipeline = GustPipeline(LENGTH, cache=True, backend="legacy-scatter")
     jacobi(matrix, b, pipeline=plan_pipeline, max_iterations=5)  # prime
@@ -237,8 +239,8 @@ def measure_solvers() -> dict:
         "jacobi_bit_identical": jacobi_identical,
         "power_bit_identical": power_identical,
         "spmv_count": spmvs,
-        "plan_iteration_us": plan_s / spmvs * 1e6,
-        "scatter_iteration_us": scatter_s / spmvs * 1e6,
+        "plan_solve_ms": plan_s * 1e3,
+        "scatter_solve_ms": scatter_s * 1e3,
         "solver_speedup": scatter_s / plan_s,
     }
 
@@ -273,8 +275,9 @@ def run(
                 f"agrees={scipy_col['agrees']})"
             )
     print(
-        f"solver iteration    plan {solvers['plan_iteration_us']:.1f} us vs "
-        f"scatter {solvers['scatter_iteration_us']:.1f} us "
+        f"cached jacobi solve plan {solvers['plan_solve_ms']:.2f} ms vs "
+        f"scatter {solvers['scatter_solve_ms']:.2f} ms, "
+        f"{solvers['spmv_count']} SpMVs each "
         f"({solvers['solver_speedup']:.1f}x; jacobi/power bit-identical="
         f"{solvers['jacobi_bit_identical']}/{solvers['power_bit_identical']})"
     )
@@ -312,7 +315,7 @@ def _failures(results: dict) -> list[str]:
         failures.append("power iteration differs between plan and scatter paths")
     if solvers["solver_speedup"] < MIN_SOLVER_SPEEDUP:
         failures.append(
-            f"cached solver iterations {solvers['solver_speedup']:.1f}x < "
+            f"cached jacobi solve {solvers['solver_speedup']:.1f}x < "
             f"{MIN_SOLVER_SPEEDUP}x"
         )
     return failures
@@ -339,5 +342,5 @@ if __name__ == "__main__":
         sys.exit(1)
     print(
         f"PASS: plan replay >= {MIN_REPLAY_SPEEDUP:.0f}x, bit-identical, "
-        f"cached solver iterations >= {MIN_SOLVER_SPEEDUP:.1f}x"
+        f"cached jacobi solve >= {MIN_SOLVER_SPEEDUP:.1f}x"
     )

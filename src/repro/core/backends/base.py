@@ -137,7 +137,12 @@ class CompiledKernel(abc.ABC):
         self._plan = plan
 
     def _refresh_compiled(self, plan: ExecutionPlan) -> None:
-        """Hook for backends with derived value storage (scipy CSR data)."""
+        """Hook for backends with derived value storage (scipy CSR data).
+
+        Must rebind rather than write in place: ``CompiledSpmv.with_plan``
+        refreshes a shallow copy of the kernel and relies on the original
+        keeping its values.
+        """
 
     def _check_same_structure(self, plan: ExecutionPlan) -> None:
         old = self._plan

@@ -69,7 +69,7 @@ from repro.core.schedule import Schedule
 from repro.core.scheduler import slot_value_sources
 from repro.core.store import DiskScheduleStore, store_key_from_digest
 from repro.errors import HardwareConfigError
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, canonical_order
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,17 @@ class _Entry:
     plan: ExecutionPlan | None = None
     #: balanced-order -> original-order permutation from a disk artifact.
     inv_order: np.ndarray | None = None
+
+
+def _balanced_order(matrix: CooMatrix, balanced: BalancedMatrix) -> np.ndarray:
+    """Original-order -> balanced-order permutation of ``matrix``'s entries.
+
+    The balanced matrix is canonical in (permuted row, col) order, so this
+    is the canonical order of the original entries under ``row_perm``.
+    """
+    return canonical_order(
+        balanced.row_perm[matrix.rows], matrix.cols, matrix.shape
+    )
 
 
 def pattern_digest(
@@ -413,9 +424,7 @@ class ScheduleCache:
             artifact_data = balanced.matrix.data[stored.inv_order]
         else:
             if data_order is None:
-                data_order = np.lexsort(
-                    (matrix.cols, balanced.row_perm[matrix.rows])
-                )
+                data_order = _balanced_order(matrix, balanced)
             artifact_data = np.empty_like(balanced.matrix.data)
             artifact_data[data_order] = balanced.matrix.data
         return _Entry(
@@ -439,7 +448,7 @@ class ScheduleCache:
             order = np.empty(inv.size, dtype=np.int64)
             order[inv] = np.arange(inv.size, dtype=np.int64)
             return order
-        return np.lexsort((matrix.cols, entry.balanced.row_perm[matrix.rows]))
+        return _balanced_order(matrix, entry.balanced)
 
     def _put(self, key: bytes, entry: _Entry) -> None:  # guarded-by: _lock
         """Install an entry at most-recent position, evicting over capacity."""
@@ -472,7 +481,7 @@ class ScheduleCache:
         content-addressed artifact already exists; the coloring and plan
         structure it stores are value-independent).
         """
-        data_order = np.lexsort((matrix.cols, balanced.row_perm[matrix.rows]))
+        data_order = _balanced_order(matrix, balanced)
         steps, lanes, source = slot_value_sources(schedule, balanced.matrix)
         plan = ExecutionPlan.from_schedule(
             schedule, row_perm=balanced.row_perm, slots=(steps, lanes, source)

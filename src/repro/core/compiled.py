@@ -9,7 +9,9 @@ module is the "replay everywhere" half as one object:
   :mod:`~repro.core.backends` kernel;
 * ``refresh_values(...)`` — same pattern, new values, in place: one
   O(nnz) gather over the compiled structure (the Jacobian/Hessian case),
-  no recompile;
+  no recompile; ``with_plan(plan)`` does the same on a new handle and
+  leaves this one untouched (the pipeline's memo uses it on a cache
+  value refresh);
 * ``backend_name`` / ``stats`` — which backend was chosen and what it
   guarantees (capability flags, probe verdict, plan sizes, compile and
   preprocessing cost).
@@ -29,7 +31,8 @@ version externally if that matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,6 +140,26 @@ class CompiledSpmv:
             )
         self._kernel.refresh_values(plan)
         self.plan = plan
+
+    def with_plan(self, plan: ExecutionPlan) -> "CompiledSpmv":
+        """A new handle for a value-refreshed ``plan``; this one is untouched.
+
+        ``plan`` must share this handle's structure (as
+        :meth:`ExecutionPlan.with_values` produces).  The new kernel is a
+        shallow copy of this one with the values refreshed; kernels rebind
+        rather than write on refresh, so this handle keeps its values.  The
+        backend choice and probe verdict carry over: bit-identity depends
+        on the accumulation order, which is structural.
+        """
+        if self.plan is None:
+            raise BackendError(
+                f"backend {self.backend_name!r} cannot refresh values; "
+                f"re-preprocess instead"
+            )
+        kernel = copy.copy(self._kernel)
+        kernel.refresh_values(plan)
+        stats = replace(self.stats, preprocess=None)
+        return CompiledSpmv(kernel, self.backend_name, stats, plan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         m, n = self.shape

@@ -196,9 +196,12 @@ class GustPipeline:
         # handles memoized alongside plans so the per-call execute path
         # and re-compiling callers (solvers with a shared cache) pay
         # kernel compilation and the bit-identity probe once per
-        # schedule.  ``token`` is the plan (compiled backends) or the
-        # BalancedMatrix (legacy) the handle was built against; the
-        # balanced weakref makes the common hit a pure identity check.
+        # structure: an entry whose schedule is gone still serves as the
+        # template for value-refreshed schedules sharing its plan's index
+        # arrays (see _refresh_memoized).  ``token`` is the plan (compiled
+        # backends) or the BalancedMatrix (legacy) the handle was built
+        # against; the balanced weakref makes the common hit a pure
+        # identity check.
         self._compiled_memo: dict[tuple, tuple] = {}
         self._plan_lock = threading.Lock()
         self.algorithm = algorithm
@@ -398,8 +401,14 @@ class GustPipeline:
         The :class:`~repro.core.compiled.CompiledSpmv` handle is memoized
         per (schedule, backend, requirement) for the schedule object's
         lifetime — kernel compilation and the bit-identity probe run once,
-        every subsequent call is a dictionary lookup.  Safe to share
-        across threads for every built-in backend.
+        every subsequent call is a dictionary lookup.  A value-refreshed
+        schedule (a new object from the cache's refresh path) whose plan
+        shares its index structure with a memoized handle's plan gets a
+        *new* handle built from a copy of that handle's kernel with the
+        new values swapped in: no recompile, no probe (the verdict is
+        structural), and handles returned earlier keep replaying their
+        own values.  Safe to share across threads for every built-in
+        backend.
         """
         backend = backend if backend is not None else self.backend
         require = (
@@ -425,7 +434,15 @@ class GustPipeline:
                     return handle
             elif token is self.plan_for(schedule, balanced):
                 return handle
-        handle = self._compile_uncached(schedule, balanced, backend, require)
+        handle = None
+        if backend != LEGACY_SCATTER:
+            handle = self._refresh_memoized(
+                self.plan_for(schedule, balanced), backend, require
+            )
+        if handle is None:
+            handle = self._compile_uncached(
+                schedule, balanced, backend, require
+            )
         token = balanced if backend == LEGACY_SCATTER else handle.plan
         with self._plan_lock:
             self._compiled_memo[key] = (
@@ -437,6 +454,35 @@ class GustPipeline:
             while len(self._compiled_memo) > self._PLAN_MEMO_CAPACITY:
                 self._compiled_memo.pop(next(iter(self._compiled_memo)))
         return handle
+
+    def _refresh_memoized(
+        self, plan: ExecutionPlan, backend: str, require: bool
+    ) -> CompiledSpmv | None:
+        """A handle for ``plan`` derived from a memoized handle, if any
+        shares its structure (``ExecutionPlan.with_values`` hands out the
+        index arrays by identity); ``None`` when ``plan`` needs a compile.
+
+        The memoized handle is copied, never mutated.  Its entry is
+        dropped once its schedule is gone: the caller memoizes the new
+        handle, which serves the same structure from then on.
+        """
+        started = _obs_clock.monotonic()
+        with self._plan_lock:
+            entries = list(self._compiled_memo.items())
+        for key, (schedule_ref, _, template, _) in reversed(entries):
+            if (
+                key[1:] != (backend, require)
+                or template.plan is None
+                or not template.plan.shares_structure(plan)
+            ):
+                continue
+            handle = template.with_plan(plan)
+            handle.stats.compile_seconds = _obs_clock.monotonic() - started
+            if schedule_ref() is None:
+                with self._plan_lock:
+                    self._compiled_memo.pop(key, None)
+            return handle
+        return None
 
     def _compile_uncached(
         self,

@@ -382,6 +382,20 @@ class ExecutionPlan:
             )
         return replace(self, values=balanced_data[self.value_source])
 
+    def shares_structure(self, other: "ExecutionPlan") -> bool:
+        """True when only values can differ between ``self`` and ``other``.
+
+        :meth:`with_values` hands the index arrays of its source out by
+        identity, so identity is the cheap, exact test for "same pattern":
+        a genuinely new pattern always compiles fresh arrays.
+        """
+        return (
+            self.shape == other.shape
+            and self.rows is other.rows
+            and self.sources is other.sources
+            and self.row_perm is other.row_perm
+        )
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:

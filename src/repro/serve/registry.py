@@ -173,8 +173,8 @@ class MatrixRegistry:
             # entry installed, or vice versa, mid-register).
             with self._lock:
                 previous = self._entries.get(name)
-                if previous is not None and self._same_structure(
-                    plan, previous.plan
+                if previous is not None and plan.shares_structure(
+                    previous.plan
                 ):
                     compiled = previous.compiled
                     stacked = previous.stacked
@@ -216,22 +216,6 @@ class MatrixRegistry:
                 )
             self._entries[name] = entry
         return entry
-
-    @staticmethod
-    def _same_structure(plan: ExecutionPlan, pinned: ExecutionPlan) -> bool:
-        """True when only values moved between two plans.
-
-        A value-refreshed plan shares its index arrays with the plan it
-        came from (:meth:`ExecutionPlan.with_values`), so array identity
-        is the cheap, exact test for "same pattern" — a genuinely new
-        pattern always compiles fresh arrays.
-        """
-        return (
-            plan.shape == pinned.shape
-            and plan.nnz == pinned.nnz
-            and plan.rows is pinned.rows
-            and plan.sources is pinned.sources
-        )
 
     def get(self, name: str) -> RegisteredMatrix:
         with self._lock:

@@ -71,7 +71,7 @@ class CooMatrix:
             if cols.min() < 0 or cols.max() >= n:
                 raise MatrixFormatError("column index out of range")
 
-        order = np.lexsort((cols, rows))
+        order = canonical_order(rows, cols, (m, n))
         rows, cols, data = rows[order], cols[order], data[order]
 
         if rows.size:
@@ -208,6 +208,27 @@ class CooMatrix:
             f"CooMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"density={self.density:.3g})"
         )
+
+
+def canonical_order(
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """Stable permutation sorting entries by (row, col), i.e. row-major.
+
+    Equal to ``np.lexsort((cols, rows))``.  The two keys are fused into one
+    ``row * n + col`` integer, which is bijective and monotone in (row, col)
+    for in-range indices, and sorted with a stable argsort: timsort is
+    linear on input that is already canonical (an off-diagonal split, a
+    re-canonicalized pattern), where ``np.lexsort`` always pays two full
+    passes.  Where ``m * n`` would overflow the int64 key, the choice falls
+    back to ``np.lexsort``; it depends on ``shape`` alone.
+    """
+    m, n = int(shape[0]), int(shape[1])
+    if m * n >= 2**63:
+        return np.lexsort((cols, rows))
+    keys = np.asarray(rows, dtype=np.int64) * np.int64(n)
+    keys += np.asarray(cols, dtype=np.int64)
+    return np.argsort(keys, kind="stable")
 
 
 def _is_permutation(perm: np.ndarray, size: int) -> bool:

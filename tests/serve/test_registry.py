@@ -85,10 +85,13 @@ class TestSharedCacheTiers:
 
     def test_value_refresh_on_reregister(self, small_matrix, rng):
         registry = MatrixRegistry(length=16)
-        registry.register("A", small_matrix)
+        first = registry.register("A", small_matrix)
         refreshed = small_matrix.with_data(rng.normal(size=small_matrix.nnz))
         entry = registry.register("A", refreshed, replace=True)
         assert entry.preprocess.notes["cache_refresh"] == 1.0
+        # Same structure: the pinned kernels are refreshed, not recompiled.
+        assert entry.compiled is first.compiled
+        assert entry.stacked is first.stacked
         x = rng.normal(size=small_matrix.shape[1])
         assert np.allclose(entry.execute(x), refreshed.matvec(x))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CooMatrix, GustPipeline
+from repro.core.cache import ScheduleCache
 from repro.errors import SolverError
 from repro.solvers import conjugate_gradient, jacobi, power_iteration
 from repro.sparse.convert import from_dense, to_dense
@@ -100,6 +101,88 @@ class TestJacobi:
         )
         with pytest.raises(SolverError, match="square"):
             jacobi(matrix, np.zeros(2))
+
+
+def _two_spmv_jacobi(matrix, b, pipeline, tol, max_iterations):
+    """Frozen reference: the former sweep, which applied R twice.
+
+    Returns ``(x, iterations, residual_norm)``.
+    """
+    n = matrix.shape[0]
+    on_diag = matrix.rows == matrix.cols
+    diag = np.zeros(n)
+    diag[matrix.rows[on_diag]] = matrix.data[on_diag]
+    off = CooMatrix.from_arrays(
+        matrix.rows[~on_diag],
+        matrix.cols[~on_diag],
+        matrix.data[~on_diag],
+        matrix.shape,
+    )
+    apply_r = pipeline.compile(off, require_bit_identical=True).matvec
+    x = np.zeros(n)
+    threshold = tol * max(float(np.linalg.norm(b)), 1e-300)
+    residual = float("inf")
+    for iteration in range(1, max_iterations + 1):
+        x = (b - apply_r(x)) / diag
+        residual = float(np.linalg.norm(b - apply_r(x) - diag * x))
+        if residual <= threshold:
+            return x, iteration, residual
+    return x, max_iterations, residual
+
+
+class TestJacobiOneSpmvPerSweep:
+    """Carrying R x from the residual check into the next sweep changes
+    the SpMV count only: iterate, iterations and residual keep their bits."""
+
+    @staticmethod
+    def _check(result, reference):
+        x, iterations, residual = reference
+        assert (result.x == x).all()
+        assert result.iterations == iterations
+        assert result.residual_norm == residual
+        assert result.spmv_count == result.iterations + 1
+
+    def test_matches_reference_with_private_pipeline(self, rng):
+        matrix = _spd_matrix(100, seed=5)
+        b = rng.normal(size=100)
+        result = jacobi(matrix, b, tol=1e-10, max_iterations=2000)
+        assert result.converged
+        reference = _two_spmv_jacobi(
+            matrix, b, GustPipeline(64), tol=1e-10, max_iterations=2000
+        )
+        self._check(result, reference)
+
+    def test_matches_reference_through_shared_cached_pipeline(self, rng):
+        """Time-stepped values through one cached pipeline: every step
+        after the first rides the value refresh, and still matches a cold
+        compile of that step's matrix."""
+        matrix = _spd_matrix(150, seed=8)
+        b = rng.normal(size=150)
+        pipeline = GustPipeline(32, cache=ScheduleCache())
+        off = matrix.rows != matrix.cols
+        for step in range(4):
+            data = matrix.data.copy()
+            data[off] *= 1.0 + 0.05 * step
+            stepped = matrix.with_data(data)
+            result = jacobi(stepped, b, pipeline=pipeline, tol=1e-10)
+            assert result.converged
+            reference = _two_spmv_jacobi(
+                stepped, b, GustPipeline(32), tol=1e-10, max_iterations=500
+            )
+            self._check(result, reference)
+        assert pipeline.cache.stats.refreshes == 3
+
+    def test_spmv_count_when_not_converged(self, rng):
+        matrix = _spd_matrix(80, seed=9)
+        b = rng.normal(size=80)
+        result = jacobi(matrix, b, tol=1e-300, max_iterations=7)
+        assert not result.converged
+        assert result.iterations == 7
+        assert result.spmv_count == 8
+        reference = _two_spmv_jacobi(
+            matrix, b, GustPipeline(64), tol=1e-300, max_iterations=7
+        )
+        self._check(result, reference)
 
 
 class TestPowerIteration:
