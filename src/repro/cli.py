@@ -168,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="closed-loop client threads")
     serve.add_argument("--workers", type=int, default=1)
     serve.add_argument("--max-batch", type=int, default=16)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument("--queue-size", type=int, default=256)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -473,7 +472,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry=registry,
         policy=BatchPolicy(
             max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
             max_queue=max(args.queue_size, args.max_batch),
         ),
         workers=args.workers,

@@ -112,7 +112,9 @@ class StackedReplay:
 
         ``stacked`` is ``(k, n)`` — one request per row.  Column ``j`` of
         the result is bit-identical to the per-request replay of
-        ``stacked[j]``, in original (un-permuted) row order.
+        ``stacked[j]``, in original (un-permuted) row order.  A single
+        request (``k == 1``) replays through the kernel's ``matvec``, the
+        same call per-request replay makes, instead of a one-column SpMM.
         """
         stacked = np.asarray(stacked, dtype=np.float64)
         _, n = self.plan.shape
@@ -120,6 +122,8 @@ class StackedReplay:
             raise HardwareConfigError(
                 f"stacked operand must be (k, {n}), got {stacked.shape}"
             )
+        if stacked.shape[0] == 1:
+            return self._kernel.matvec(stacked[0])[:, None]
         return self._kernel.matmat(stacked.T)
 
     def refresh_from_plan(self, plan: ExecutionPlan) -> None:

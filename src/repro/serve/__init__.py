@@ -9,8 +9,9 @@ registry of scheduled matrices.  This package is that layer:
   :class:`~repro.core.plan.ExecutionPlan` plus a compiled
   :class:`~repro.core.spmm.StackedReplay` batch kernel;
 * :class:`RequestBatcher` — per-tenant bounded queues coalescing
-  concurrent requests into one stacked right-hand side (admission policy:
-  flush at ``max_batch`` or after ``max_wait``, reject above
+  concurrent requests into one stacked right-hand side (work-conserving
+  admission: an idle worker takes up to ``max_batch`` queued requests at
+  once, so batches form only while every worker is busy; reject above
   ``max_queue``);
 * :class:`SpmvServer` — thread-pool workers draining the batcher,
   :class:`ServerStats` metrics (latency percentiles, batch-size histogram,

@@ -7,11 +7,13 @@ and executes the block through the tenant's compiled
 :class:`~repro.core.spmm.StackedReplay` kernel, bit-identical to
 per-request replay.
 
-Admission policy (:class:`BatchPolicy`):
+Admission policy (:class:`BatchPolicy`), work-conserving:
 
-* a batch flushes as soon as ``max_batch`` requests are queued for one
-  matrix, or when the oldest queued request has waited ``max_wait_s``
-  (latency bound under light traffic);
+* an idle worker takes what is queued at once — up to ``max_batch``
+  requests from the queue whose head is oldest.  A worker waits only
+  when every queue is empty, so no request waits on a timer while a
+  worker sleeps; batches form from the requests that arrive while every
+  worker is busy;
 * each per-matrix queue is bounded at ``max_queue``; a submit against a
   full queue raises :class:`~repro.errors.QueueFullError` synchronously —
   backpressure reaches the client instead of growing memory inside the
@@ -29,6 +31,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,27 +50,20 @@ from repro.serve.registry import RegisteredMatrix
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Admission and flush policy for :class:`RequestBatcher`.
+    """Admission policy for :class:`RequestBatcher`.
 
     Args:
         max_batch: largest stacked right-hand side executed as one block.
-        max_wait_s: longest a queued request may wait for its batch to
-            fill before the partial batch is flushed anyway.
         max_queue: per-matrix queue bound; submits beyond it are rejected.
     """
 
     max_batch: int = 16
-    max_wait_s: float = 0.002
     max_queue: int = 256
 
     def __post_init__(self):
         if self.max_batch <= 0:
             raise HardwareConfigError(
                 f"max_batch must be positive, got {self.max_batch}"
-            )
-        if self.max_wait_s < 0:
-            raise HardwareConfigError(
-                f"max_wait_s must be non-negative, got {self.max_wait_s}"
             )
         if self.max_queue < self.max_batch:
             raise HardwareConfigError(
@@ -93,10 +89,10 @@ class SpmvRequest:
 
 
 class RequestBatcher:
-    """Per-matrix bounded queues with batch/max-wait flush semantics.
+    """Per-matrix bounded queues drained by work-conserving admission.
 
     Args:
-        policy: admission/flush policy (defaults to :class:`BatchPolicy`).
+        policy: admission policy (defaults to :class:`BatchPolicy`).
         clock: monotonic time source; injectable so deadline arithmetic is
             testable without sleeping.  Defaults to the shared obs clock
             seam (:data:`repro.obs.clock.monotonic`), the same time base
@@ -114,7 +110,6 @@ class RequestBatcher:
         self._queues: dict[str, deque[SpmvRequest]] = {}
         self._entries: dict[str, RegisteredMatrix] = {}
         self._accepting = True
-        self._draining = False
 
     # -- admission -----------------------------------------------------------
 
@@ -162,76 +157,51 @@ class RequestBatcher:
                     f"({self.policy.max_queue}); retry later"
                 )
             queue.append(request)
-            # Wake a worker when a batch completed or a fresh queue head
-            # needs its max-wait timer armed.
-            if len(queue) >= self.policy.max_batch or len(queue) == 1:
+            # A fresh queue head wakes one idle worker.  Requests that
+            # join a non-empty queue need no wake-up: a worker is already
+            # on its way (woken for the head) or every worker is busy and
+            # will scan before it waits again.
+            if len(queue) == 1:
                 self._cond.notify()
         return request.future
 
     # -- draining ------------------------------------------------------------
 
-    def _drainable(self, queue: deque[SpmvRequest], now: float) -> bool:
-        if not queue:
-            return False
-        if self._draining or len(queue) >= self.policy.max_batch:
-            return True
-        return now - queue[0].enqueued >= self.policy.max_wait_s
-
-    def _scan(self, now: float) -> tuple[str | None, float | None]:
-        """One admission scan at instant ``now`` (caller holds the lock).
-
-        Returns ``(best_name, deadline)``: the drainable queue whose head
-        request is oldest (global FIFO fairness across tenants), or — when
-        nothing is drainable yet — the earliest instant at which some
-        queue's max-wait flush comes due.  At most one of the two is
-        non-``None``; ``(None, None)`` means every queue is empty.  The
-        invariant the wait loop relies on: a returned deadline is always
-        strictly in the future (``deadline > now``), because a head older
-        than ``max_wait_s`` is by definition drainable — so the computed
-        wait timeout is positive and the loop cannot busy-spin.
-        """
+    def _oldest_queue(self) -> str | None:
+        """The non-empty queue whose head request is oldest, or ``None``
+        when every queue is empty (caller holds the lock)."""
         best_name = None
         oldest = None
-        deadline = None
         for name, queue in self._queues.items():
-            if not queue:
-                continue
-            head = queue[0].enqueued
-            if self._drainable(queue, now):
-                if oldest is None or head < oldest:
-                    best_name, oldest = name, head
-            else:
-                due = head + self.policy.max_wait_s
-                if deadline is None or due < deadline:
-                    deadline = due
-        if best_name is not None:
-            return best_name, None
-        return None, deadline
+            if queue and (oldest is None or queue[0].enqueued < oldest):
+                best_name, oldest = name, queue[0].enqueued
+        return best_name
 
     def take_batch(
         self,
     ) -> tuple[RegisteredMatrix, list[SpmvRequest]] | None:
-        """Block until a batch is ready; ``None`` means shut down.
+        """Take a batch at once; block only while every queue is empty.
 
-        Among drainable queues the one with the oldest head request wins
-        (global FIFO fairness across tenants).  When no queue is drainable
-        yet, the wait times out at the earliest pending max-wait deadline.
+        Returns up to ``max_batch`` requests from the queue whose head is
+        oldest (global FIFO fairness across tenants), or ``None`` once the
+        batcher is closed and drained.  When requests stay behind (a queue
+        longer than ``max_batch``, or another tenant's queue), one more
+        waiting worker is woken for them, so no request waits on a busy
+        worker while another worker sleeps.
         """
         with self._cond:
             while True:
-                now = self.clock()
-                best_name, deadline = self._scan(now)
+                best_name = self._oldest_queue()
                 if best_name is not None:
                     queue = self._queues[best_name]
                     size = min(len(queue), self.policy.max_batch)
                     batch = [queue.popleft() for _ in range(size)]
+                    if not self._all_empty():
+                        self._cond.notify()
                     return self._entries[best_name], batch
-                if not self._accepting and self._all_empty():
+                if not self._accepting:
                     return None
-                timeout = None if deadline is None else max(
-                    0.0, deadline - now
-                )
-                self._cond.wait(timeout)
+                self._cond.wait()
 
     def _all_empty(self) -> bool:
         return all(not queue for queue in self._queues.values())
@@ -247,15 +217,13 @@ class RequestBatcher:
         """Stop admissions; returns the requests abandoned (empty if
         draining).
 
-        With ``drain`` (default), queued requests stay put and every queue
-        becomes immediately drainable — workers flush partial batches
-        without waiting out ``max_wait_s`` and then observe shutdown.
+        With ``drain`` (default), queued requests stay put — workers take
+        them as usual and observe shutdown once every queue is empty.
         Without it, queues are emptied and the abandoned requests are
         returned so the caller can fail their futures.
         """
         with self._cond:
             self._accepting = False
-            self._draining = True
             abandoned: list[SpmvRequest] = []
             if not drain:
                 for queue in self._queues.values():
@@ -269,6 +237,7 @@ def run_batch(
     entry: RegisteredMatrix,
     batch: list[SpmvRequest],
     faults: _faults.FaultPlan | None = None,
+    on_phases: Callable[[float, float], None] | None = None,
 ) -> np.ndarray:
     """Execute one batch and resolve its futures; returns the block.
 
@@ -277,38 +246,56 @@ def run_batch(
     tile, and each future resolves with its column of the ``(m, k)``
     result — a view into the shared block (columns never alias each
     other; copy on the client side if contiguity matters).  Column ``j``
-    is bit-identical to ``entry.execute(batch[j].x)``.
+    is bit-identical to ``entry.execute(batch[j].x)``.  A batch of one
+    is not copied: its operand goes to the kernel as a ``(1, n)`` view.
 
     A kernel exception — including an injected ``kernel-error`` fault —
     is set on every future in the batch and re-raised for the caller's
     failure accounting; ``kernel-slow`` stalls execution first, which is
     how the chaos harness manufactures deadline pressure.
 
+    ``on_phases``, when given, is called once after settling with the
+    batch's kernel seconds (assembly included) and settle seconds, on the
+    obs clock; without it nothing is timed.
+
     Shared by the server's worker loop and the serving benchmark, so what
     the benchmark gates is exactly what the server runs.
     """
-    with _trace.span("serve.assemble", cat="serve", size=len(batch)):
-        stacked = np.stack([request.x for request in batch])
+    if on_phases is not None:
+        started = _obs_clock.monotonic()
+    # The ambient tracer and fault plan are looked up once per batch.
+    tracer = _trace.active_tracer()
+    span = tracer.span if tracer is not None else _null_span
+    plan = _faults.resolve(faults)
+    with span("serve.assemble", "serve", size=len(batch)):
+        if len(batch) == 1:
+            stacked = batch[0].x[None, :]
+        else:
+            stacked = np.stack([request.x for request in batch])
     try:
-        with _trace.span(
-            "serve.kernel", cat="serve", tenant=entry.name, size=len(batch)
-        ):
-            if _faults.should_fire("kernel-slow", faults):
-                time.sleep(_faults.SLOW_KERNEL_SLEEP_S)
-            _faults.raise_if(
-                "kernel-error",
-                lambda: InjectedFaultError("injected kernel-error fault"),
-                faults,
-            )
+        with span("serve.kernel", "serve", tenant=entry.name, size=len(batch)):
+            if plan is not None:
+                if plan.should_fire("kernel-slow"):
+                    time.sleep(_faults.SLOW_KERNEL_SLEEP_S)
+                if plan.should_fire("kernel-error"):
+                    raise InjectedFaultError("injected kernel-error fault")
             block = entry.stacked.matvecs(stacked)
     except Exception as error:
         for request in batch:
             _settle(request.future, error=error)
         raise
-    with _trace.span("serve.settle", cat="serve", size=len(batch)):
+    if on_phases is not None:
+        computed = _obs_clock.monotonic()
+    with span("serve.settle", "serve", size=len(batch)):
         for j, request in enumerate(batch):
             _settle(request.future, result=block[:, j])
+    if on_phases is not None:
+        on_phases(computed - started, _obs_clock.monotonic() - computed)
     return block
+
+
+def _null_span(*args, **kwargs):
+    return _trace.NULL_SPAN
 
 
 def _settle(future: Future, result=None, error=None) -> None:

@@ -64,6 +64,10 @@ BATCH_SIZES = (1, 8, 16, 32)
 GATE_MIN_BATCH = 8
 MIN_BATCH_SPEEDUP = 1.5
 
+#: A batch of one replays through ``matvec``, so it should cost about what
+#: a direct per-request replay does; its ratio is printed, not gated.
+K1_RATIO_TARGET = 0.9
+
 #: Threaded end-to-end run.
 SERVER_CLIENTS = 16
 SERVER_REQUESTS_PER_CLIENT = 16
@@ -135,6 +139,7 @@ def measure_batching(repeats: int = 30) -> dict:
         if int(size) >= GATE_MIN_BATCH
     ]
     results["gated_speedup"] = max(gated) if gated else 0.0
+    results["k1_ratio"] = results["batch"]["1"]["speedup"]
     return results
 
 
@@ -144,7 +149,7 @@ def measure_server() -> dict:
     registry = MatrixRegistry(length=LENGTH)
     server = SpmvServer(
         registry=registry,
-        policy=BatchPolicy(max_batch=16, max_wait_s=0.002, max_queue=512),
+        policy=BatchPolicy(max_batch=16, max_queue=512),
         workers=1,
     )
     tenants = {}
@@ -221,6 +226,10 @@ def run(json_path: str | None = None) -> dict:
             f"{spec['speedup']:4.2f}x  "
             f"(bit-identical={spec['bit_identical']})"
         )
+    print(
+        f"k=1 batched/single ratio: {batching['k1_ratio']:.2f}x "
+        f"(target >= {K1_RATIO_TARGET}x; reported, not gated)"
+    )
     print(
         f"threaded server: {server['throughput_rps']:.0f} req/s over "
         f"{server['clients']} clients, mean batch "

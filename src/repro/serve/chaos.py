@@ -199,7 +199,7 @@ def _serve_phase(
     }
     server = SpmvServer(
         registry=registry,
-        policy=BatchPolicy(max_batch=8, max_wait_s=0.001, max_queue=64),
+        policy=BatchPolicy(max_batch=8, max_queue=64),
         workers=2,
         max_worker_respawns=8,
         faults=plan,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,14 +151,22 @@ class ServerMetrics:
             observed into fixed-bucket histograms
             (``gust_request_latency_seconds``, ``gust_batch_size``) at
             record time, so a Prometheus scrape sees full distributions,
-            not just the reservoir percentiles.
+            not just the reservoir percentiles; so are the request phases
+            (``gust_request_phase_seconds{phase=queue|kernel|settle}``,
+            see :attr:`times_phases`).
     """
 
     def __init__(self, clock=None, registry: MetricsRegistry | None = None):
         self._clock = clock or _obs_clock.monotonic
         self._latency_hist = None
         self._batch_hist = None
+        self._phase_hist = None
         if registry is not None:
+            self._phase_hist = registry.histogram(
+                "gust_request_phase_seconds",
+                help="Request phases: queue (enqueue to dequeue, per "
+                "request), kernel and settle (per batch).",
+            )
             self._latency_hist = registry.histogram(
                 "gust_request_latency_seconds",
                 help="End-to-end request latency (enqueue to settle).",
@@ -225,6 +234,22 @@ class ServerMetrics:
             self._batch_hist.observe(size)
             for latency in latencies_s:
                 self._latency_hist.observe(latency)
+
+    @property
+    def times_phases(self) -> bool:
+        """Whether request phases are observed (a registry is attached);
+        without one the serving hot path takes no phase timestamps."""
+        return self._phase_hist is not None
+
+    def record_queue_waits(self, waits_s: Iterable[float]) -> None:
+        """Queue phase: one observation per dequeued request."""
+        for wait in waits_s:
+            self._phase_hist.observe(wait, phase="queue")
+
+    def record_batch_phases(self, kernel_s: float, settle_s: float) -> None:
+        """Kernel and settle phases: one observation each per batch."""
+        self._phase_hist.observe(kernel_s, phase="kernel")
+        self._phase_hist.observe(settle_s, phase="settle")
 
     def snapshot(
         self,

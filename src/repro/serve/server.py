@@ -2,11 +2,11 @@
 
 :class:`SpmvServer` composes a :class:`~repro.serve.registry.
 MatrixRegistry` (tenants pinned to prepared plans) with a
-:class:`~repro.serve.batcher.RequestBatcher` (bounded queues, batch/
-max-wait admission) and a pool of worker threads that drain batches and
-resolve futures.  Metrics are always on: per-request latency percentiles,
-the executed batch-size histogram, and the shared schedule cache's hit
-counters surface through :meth:`SpmvServer.stats`.
+:class:`~repro.serve.batcher.RequestBatcher` (bounded queues,
+work-conserving admission) and a pool of worker threads that drain
+batches and resolve futures.  Metrics are always on: per-request latency
+percentiles, the executed batch-size histogram, and the shared schedule
+cache's hit counters surface through :meth:`SpmvServer.stats`.
 
 Failure model (the contract the chaos suite enforces):
 
@@ -30,11 +30,10 @@ Failure model (the contract the chaos suite enforces):
   refused with :class:`~repro.errors.CircuitOpenError` until a half-open
   probe succeeds, so one poisoned tenant cannot monopolize workers.
 
-Shutdown is graceful by default: ``stop()`` stops admissions, flushes
-every partial batch immediately (the max-wait timer is bypassed), joins
-the workers, and only then returns — no accepted request is ever lost.
-``stop(drain=False)`` instead fails queued requests with
-:class:`~repro.errors.ServerStoppedError`.
+Shutdown is graceful by default: ``stop()`` stops admissions, lets the
+workers take every queued request, joins them, and only then returns —
+no accepted request is ever lost.  ``stop(drain=False)`` instead fails
+queued requests with :class:`~repro.errors.ServerStoppedError`.
 """
 
 from __future__ import annotations
@@ -357,6 +356,13 @@ class SpmvServer:
         ``serve.kernel`` / ``serve.settle`` children (same thread, so
         the tracer's per-thread stack nests them under this root).
         """
+        on_phases = None
+        if self.metrics.times_phases:
+            dequeued = self.batcher.clock()
+            self.metrics.record_queue_waits(
+                dequeued - request.enqueued for request in batch
+            )
+            on_phases = self.metrics.record_batch_phases
         with _trace.span(
             "serve.batch", cat="serve", tenant=entry.name, size=len(batch)
         ):
@@ -374,7 +380,7 @@ class SpmvServer:
                 self._faults,
             )
             try:
-                run_batch(entry, live, self._faults)
+                run_batch(entry, live, self._faults, on_phases)
             except Exception:  # lint: disable=R5 — run_batch already
                 # failed every future in the batch with the kernel's
                 # exception; the worker stays alive for the other tenants

@@ -1,6 +1,7 @@
-"""Batcher edge cases: admission, flush, interleaving, bit-identity."""
+"""Batcher edge cases: admission, work-conserving take, interleaving,
+bit-identity."""
 
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.serve.batcher import (
     SpmvRequest,
     run_batch,
 )
+from tests.serve.helpers import wait_for_waiters
 
 
 @pytest.fixture
@@ -29,8 +31,6 @@ class TestPolicy:
     def test_validation(self):
         with pytest.raises(HardwareConfigError, match="max_batch"):
             BatchPolicy(max_batch=0)
-        with pytest.raises(HardwareConfigError, match="max_wait_s"):
-            BatchPolicy(max_wait_s=-1.0)
         with pytest.raises(HardwareConfigError, match="max_queue"):
             BatchPolicy(max_batch=8, max_queue=4)
 
@@ -58,6 +58,33 @@ class TestRunBatch:
             for j, request in enumerate(batch):
                 got = np.asarray(request.future.result(timeout=0))
                 assert (got == entry.execute(xs[j])).all()
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_batch_of_one_bit_identical_to_entry_execute(
+        self, registry, square_matrix, rng, force_numpy
+    ):
+        """k=1 replays through matvec, on the scipy kernel and the pinned
+        numpy one alike, and reproduces the per-request replay exactly."""
+        entry = registry.register(
+            "one", square_matrix, force_numpy_backend=force_numpy
+        )
+        assert (entry.stacked.backend == "bincount") == force_numpy
+        for x in rng.normal(size=(4, entry.shape[1])):
+            request = SpmvRequest(x=x)
+            block = run_batch(entry, [request])
+            assert block.shape == (entry.shape[0], 1)
+            got = np.asarray(request.future.result(timeout=0))
+            assert (got == entry.execute(x)).all()
+
+    def test_batch_of_one_skips_the_spmm_kernel(self, entry, rng, monkeypatch):
+        def no_matmat(*args, **kwargs):
+            raise AssertionError("a batch of one must not run matmat")
+
+        monkeypatch.setattr(entry.stacked._kernel, "matmat", no_matmat)
+        x = rng.normal(size=entry.shape[1])
+        request = SpmvRequest(x=x)
+        run_batch(entry, [request])
+        assert (request.future.result(timeout=0) == entry.execute(x)).all()
 
     def test_numpy_backend_bit_identical(self, registry, square_matrix, rng):
         entry = registry.register(
@@ -97,39 +124,31 @@ class TestAdmission:
 
 class TestFlush:
     def test_full_batch_flushes_immediately(self, entry, rng):
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=4, max_wait_s=60.0, max_queue=64)
-        )
+        batcher = RequestBatcher(BatchPolicy(max_batch=4, max_queue=64))
         batcher.bind(entry)
         for _ in range(6):
             batcher.submit(entry, rng.normal(size=entry.shape[1]))
         got_entry, batch = batcher.take_batch()
         assert got_entry is entry
-        # Despite the one-minute max-wait, a full batch drains at once —
-        # and is capped at max_batch even though 6 requests are queued.
+        # Capped at max_batch even though 6 requests are queued.
         assert len(batch) == 4
         assert batcher.pending() == 2
 
-    def test_partial_batch_flushes_on_max_wait(self, entry, rng):
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=8, max_wait_s=0.05, max_queue=64)
-        )
+    def test_partial_batch_taken_at_once(self, entry, rng):
+        """An idle worker does not wait for a batch to fill."""
+        batcher = RequestBatcher(BatchPolicy(max_batch=8, max_queue=64))
         batcher.bind(entry)
         for _ in range(3):
             batcher.submit(entry, rng.normal(size=entry.shape[1]))
-        started = time.perf_counter()
         _, batch = batcher.take_batch()
-        waited = time.perf_counter() - started
         assert len(batch) == 3
-        assert waited >= 0.04
+        assert batcher.pending() == 0
 
     def test_mixed_matrix_interleaving(self, registry, rng):
         """Interleaved tenants never share a batch; FIFO across tenants."""
         a = registry.register("A", uniform_random(40, 40, 0.1, seed=1))
         b = registry.register("B", uniform_random(30, 30, 0.1, seed=2))
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=8, max_wait_s=0.0, max_queue=64)
-        )
+        batcher = RequestBatcher(BatchPolicy(max_batch=8, max_queue=64))
         xs = {}
         for name, entry in (("A", a), ("B", b)):
             batcher.bind(entry)
@@ -151,9 +170,7 @@ class TestFlush:
 
 class TestShutdown:
     def test_drain_makes_partial_batches_immediate(self, entry, rng):
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=8, max_wait_s=60.0, max_queue=64)
-        )
+        batcher = RequestBatcher(BatchPolicy(max_batch=8, max_queue=64))
         batcher.bind(entry)
         for _ in range(3):
             batcher.submit(entry, rng.normal(size=entry.shape[1]))
@@ -174,91 +191,98 @@ class TestShutdown:
 
 
 class TestInjectedClock:
-    """Deadline arithmetic in the flush scan, pinned with a fake clock.
-
-    ``take_batch``'s wait loop depends on two ``_scan`` invariants: the
-    returned deadline is the *earliest* pending max-wait flush across all
-    queues, and it is always strictly in the future (an overdue head is
-    drainable, so a zero or negative wait timeout — a busy-spin — can
-    never be computed).
-    """
+    """Admission never reads the clock: on a frozen injected clock a
+    worker still takes what is queued at once, in global FIFO order."""
 
     def _batcher(self, now, **policy_kwargs):
         return RequestBatcher(
             BatchPolicy(**policy_kwargs), clock=lambda: now["t"]
         )
 
-    def test_scan_reports_earliest_pending_deadline(self, registry, rng):
+    def test_lone_request_taken_at_once_on_frozen_clock(self, entry, rng):
+        now = {"t": 100.0}
+        batcher = self._batcher(now, max_batch=8, max_queue=64)
+        batcher.submit(entry, rng.normal(size=entry.shape[1]))
+        taken = []
+        worker = threading.Thread(
+            target=lambda: taken.append(batcher.take_batch()), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        taken_entry, batch = taken[0]
+        assert taken_entry is entry
+        assert len(batch) == 1
+        assert now["t"] == 100.0  # time never moved
+
+    def test_oldest_head_queue_taken_first(self, registry, rng):
+        """The queue whose head is oldest wins, however short it is."""
         a = registry.register("A", uniform_random(48, 48, 0.1, seed=1))
         b = registry.register("B", uniform_random(32, 32, 0.1, seed=2))
         now = {"t": 100.0}
-        batcher = self._batcher(
-            now, max_batch=8, max_wait_s=1.0, max_queue=64
-        )
-        batcher.submit(a, rng.normal(size=a.shape[1]))
-        now["t"] = 100.4
+        batcher = self._batcher(now, max_batch=8, max_queue=64)
         batcher.submit(b, rng.normal(size=b.shape[1]))
-        with batcher._cond:
-            name, deadline = batcher._scan(now["t"])
-        # Nothing drainable yet; A's head (enqueued first) is due first.
-        assert name is None
-        assert deadline == pytest.approx(101.0)
-        assert deadline > now["t"]  # the wait timeout stays positive
-
-    def test_scan_drains_queue_once_head_is_due(self, entry, rng):
-        now = {"t": 100.0}
-        batcher = self._batcher(
-            now, max_batch=8, max_wait_s=1.0, max_queue=64
-        )
-        batcher.submit(entry, rng.normal(size=entry.shape[1]))
-        with batcher._cond:
-            assert batcher._scan(100.999) == (None, pytest.approx(101.0))
-            # At (and past) the deadline the queue is drainable — _scan
-            # switches from "wait until" to "take now", so an overdue
-            # head can never produce a non-positive wait timeout.
-            assert batcher._scan(101.0) == ("A", None)
-            assert batcher._scan(999.0) == ("A", None)
-
-    def test_take_batch_flushes_on_the_injected_clock(self, entry, rng):
-        """Once the fake clock passes the max-wait deadline, take_batch
-        returns the partial batch immediately — no real-time sleep."""
-        import time as real_time
-
-        now = {"t": 100.0}
-        batcher = self._batcher(
-            now, max_batch=8, max_wait_s=1.0, max_queue=64
-        )
-        batcher.submit(entry, rng.normal(size=entry.shape[1]))
-        now["t"] = 101.5  # past the flush deadline before the scan runs
-        begin = real_time.perf_counter()
-        taken_entry, batch = batcher.take_batch()
-        assert real_time.perf_counter() - begin < 1.0
-        assert taken_entry is entry
-        assert len(batch) == 1
-
-    def test_zero_max_wait_flushes_immediately_without_spinning(
-        self, entry, rng
-    ):
-        """max_wait_s=0 makes every head instantly due; the scan must
-        classify it drainable rather than computing a zero timeout."""
-        now = {"t": 100.0}
-        batcher = self._batcher(
-            now, max_batch=8, max_wait_s=0.0, max_queue=64
-        )
-        batcher.submit(entry, rng.normal(size=entry.shape[1]))
-        with batcher._cond:
-            assert batcher._scan(now["t"]) == ("A", None)
+        now["t"] = 100.4
+        for _ in range(5):
+            batcher.submit(a, rng.normal(size=a.shape[1]))
+        first_entry, first = batcher.take_batch()
+        second_entry, second = batcher.take_batch()
+        assert (first_entry, len(first)) == (b, 1)
+        assert (second_entry, len(second)) == (a, 5)
 
     def test_request_records_enqueue_instant_and_absolute_deadline(
         self, entry, rng
     ):
         now = {"t": 100.0}
-        batcher = self._batcher(
-            now, max_batch=8, max_wait_s=60.0, max_queue=64
-        )
+        batcher = self._batcher(now, max_batch=8, max_queue=64)
         batcher.submit(entry, rng.normal(size=entry.shape[1]), deadline=123.4)
         now["t"] = 160.0
         with batcher._cond:
             request = batcher._queues["A"][0]
         assert request.enqueued == 100.0  # stamped at submit time
         assert request.deadline == 123.4  # absolute, not relative
+
+
+class TestWorkConserving:
+    def test_idle_worker_blocks_until_submit(self, entry, rng):
+        """With every queue empty a worker waits (no timeout, no spin)
+        and wakes on the next submit."""
+        batcher = RequestBatcher(BatchPolicy(max_batch=8, max_queue=64))
+        batcher.bind(entry)
+        taken = []
+        worker = threading.Thread(
+            target=lambda: taken.append(batcher.take_batch()), daemon=True
+        )
+        worker.start()
+        wait_for_waiters(batcher, 1)
+        assert not taken
+        batcher.submit(entry, rng.normal(size=entry.shape[1]))
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert len(taken[0][1]) == 1
+
+    def test_leftovers_wake_a_second_waiter(self, entry, rng):
+        """A take that leaves requests behind wakes another waiting
+        worker; only the first submit notified anyone."""
+        batcher = RequestBatcher(BatchPolicy(max_batch=16, max_queue=64))
+        batcher.bind(entry)
+        sizes = []
+        workers = [
+            threading.Thread(
+                target=lambda: sizes.append(len(batcher.take_batch()[1])),
+                daemon=True,
+            )
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        wait_for_waiters(batcher, 2)
+        # Both workers are waiting; queue all 20 before either can scan.
+        with batcher._cond:
+            for _ in range(20):
+                batcher.submit(entry, rng.normal(size=entry.shape[1]))
+        for worker in workers:
+            worker.join(timeout=5.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(sizes) == [4, 16]
+

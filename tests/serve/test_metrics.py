@@ -109,6 +109,45 @@ class TestLatencyReservoir:
         assert batch.snapshot()["buckets"][4.0] == 1
 
 
+class TestPhaseMetrics:
+    def test_phases_off_without_registry(self):
+        assert not ServerMetrics().times_phases
+
+    def test_phase_observations(self):
+        registry = MetricsRegistry()
+        metrics = ServerMetrics(registry=registry)
+        assert metrics.times_phases
+        metrics.record_queue_waits([0.001, 0.002, 0.003])
+        metrics.record_batch_phases(0.0004, 0.0001)
+        phases = registry.histogram("gust_request_phase_seconds")
+        assert phases.snapshot(phase="queue")["count"] == 3
+        assert phases.snapshot(phase="queue")["sum"] == pytest.approx(0.006)
+        assert phases.snapshot(phase="kernel")["sum"] == pytest.approx(4e-4)
+        assert phases.snapshot(phase="settle")["count"] == 1
+
+    def test_server_without_registry_times_nothing(
+        self, square_matrix, monkeypatch
+    ):
+        """No registry, no phase timing: run_batch gets no callback."""
+        from repro.serve import server as server_module
+
+        seen = []
+        real_run_batch = server_module.run_batch
+
+        def spy(entry, batch, faults=None, on_phases=None):
+            seen.append(on_phases)
+            return real_run_batch(entry, batch, faults, on_phases)
+
+        monkeypatch.setattr(server_module, "run_batch", spy)
+        server = SpmvServer(registry=MatrixRegistry(length=16))
+        server.register("A", square_matrix)
+        with server:
+            SpmvClient(server).spmv(
+                "A", np.ones(square_matrix.shape[1]), timeout=30.0
+            )
+        assert seen == [None]
+
+
 class TestPrometheusScrape:
     def test_one_scrape_covers_every_subsystem(self):
         """The ISSUE acceptance: a single /metrics-equivalent scrape
@@ -117,7 +156,7 @@ class TestPrometheusScrape:
         registry = MetricsRegistry()
         server = SpmvServer(
             registry=MatrixRegistry(length=16),
-            policy=BatchPolicy(max_batch=8, max_wait_s=0.005),
+            policy=BatchPolicy(max_batch=8),
             metrics_registry=registry,
         )
         matrix = uniform_random(48, 48, 0.1, seed=3)
@@ -143,8 +182,17 @@ class TestPrometheusScrape:
             'gust_fault_probes_total{site="kernel-error"}',
             'gust_faults_fired_total{site="kernel-error"} 0',
             "gust_uptime_seconds ",
+            'gust_request_phase_seconds_count{phase="queue"} 12',
+            'gust_request_phase_seconds_bucket{phase="kernel",le="+Inf"} ',
+            'gust_request_phase_seconds_sum{phase="settle"} ',
         ):
             assert needle in scrape, f"scrape missing {needle}"
+        # Queue is observed per request, kernel and settle per batch.
+        phases = registry.histogram("gust_request_phase_seconds")
+        batches = server.stats().batches
+        assert phases.snapshot(phase="queue")["count"] == 12
+        assert phases.snapshot(phase="kernel")["count"] == batches
+        assert phases.snapshot(phase="settle")["count"] == batches
         # Second scrape still renders (collectors are re-entrant after
         # the server stopped) and stays a superset of the schema.
         assert "gust_batches_total" in registry.render_prometheus()

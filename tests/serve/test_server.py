@@ -24,6 +24,7 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.faults import FaultPlan
+from tests.serve.helpers import KernelGate, wait_for_waiters
 
 
 def _make_server(**policy_kwargs) -> SpmvServer:
@@ -55,7 +56,7 @@ class TestHundredConcurrentClients:
                 lambda x, p=pipeline, s=schedule, b=balanced:
                 p.execute_scatter(s, b, x)
             )
-        server = _make_server(max_batch=16, max_wait_s=0.01, max_queue=256)
+        server = _make_server(max_batch=16, max_queue=256)
         # Instrument every lock the serve path can take (the batcher's
         # Condition stays native: wrapping would change its wait/notify
         # surface) before any request-side acquisition happens.
@@ -123,10 +124,109 @@ class TestHundredConcurrentClients:
         monitor.assert_no_inversions()
 
 
+class TestWorkConservingAdmission:
+    @pytest.mark.parametrize(
+        "queued, sizes", [(5, [1, 5]), (20, [1, 16, 4])]
+    )
+    def test_requests_queued_while_worker_busy_form_one_batch(
+        self, square_matrix, rng, monkeypatch, queued, sizes
+    ):
+        """A lone request runs at once; what arrives while the only
+        worker is busy comes out as batches of min(n, max_batch)."""
+        server = _make_server(max_batch=16, max_queue=64)
+        entry = server.register("A", square_matrix)
+        gate = KernelGate(entry, monkeypatch)
+        xs = rng.normal(size=(queued + 1, square_matrix.shape[1]))
+        with server:
+            futures = [server.submit("A", xs[0])]
+            gate.wait_entered(1)
+            futures += [server.submit("A", x) for x in xs[1:]]
+            gate.release.set()
+            for x, future in zip(xs, futures):
+                got = np.asarray(future.result(timeout=10.0))
+                assert (got == entry.execute(x)).all()
+        assert gate.sizes == sizes
+
+    def test_leftovers_reach_the_second_worker(
+        self, square_matrix, rng, monkeypatch
+    ):
+        """Twenty requests land while both workers wait: one takes 16,
+        and the four left behind reach the other worker while the first
+        is still held in the kernel — with no further submit."""
+        server = SpmvServer(
+            registry=MatrixRegistry(length=16),
+            policy=BatchPolicy(max_batch=16, max_queue=64),
+            workers=2,
+        )
+        entry = server.register("A", square_matrix)
+        gate = KernelGate(entry, monkeypatch)
+        xs = rng.normal(size=(20, square_matrix.shape[1]))
+        with server:
+            wait_for_waiters(server.batcher, 2)
+            with server.batcher._cond:  # no worker scans until all 20 wait
+                futures = [server.submit("A", x) for x in xs]
+            gate.wait_entered(2)
+            assert sorted(gate.sizes) == [4, 16]
+            gate.release.set()
+            for x, future in zip(xs, futures):
+                got = np.asarray(future.result(timeout=10.0))
+                assert (got == entry.execute(x)).all()
+
+
+    def test_stress_no_request_strands_with_idle_workers(self):
+        """More workers than cores, a tiny switch interval, two tenants:
+        every request resolves exactly (a lost wake-up would leave a
+        queued request behind sleeping workers and hang its future)."""
+        import sys
+
+        matrices = {
+            "alpha": uniform_random(64, 64, 0.1, seed=7),
+            "beta": uniform_random(48, 48, 0.1, seed=8),
+        }
+        server = SpmvServer(
+            registry=MatrixRegistry(length=16),
+            policy=BatchPolicy(max_batch=4, max_queue=256),
+            workers=4,
+        )
+        entries = {
+            name: server.register(name, matrix)
+            for name, matrix in matrices.items()
+        }
+        outcomes = []
+        lock = threading.Lock()
+
+        def client(index: int) -> None:
+            local = np.random.default_rng(index)
+            for request in range(40):
+                name = ("alpha", "beta")[(index + request) % 2]
+                x = local.normal(size=entries[name].shape[1])
+                y = server.submit(name, x).result(timeout=30.0)
+                with lock:
+                    outcomes.append((y == entries[name].execute(x)).all())
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                clients = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(8)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(outcomes) == 320 and all(outcomes)
+        assert server.stats().completed == 320
+
+
 class TestLifecycle:
     def test_stop_drains_in_flight_requests(self, square_matrix, rng):
-        """Requests queued behind a long max-wait still complete on stop."""
-        server = _make_server(max_batch=64, max_wait_s=60.0, max_queue=128)
+        """Queued requests complete before stop() returns."""
+        server = _make_server(max_batch=64, max_queue=128)
         entry = server.register("A", square_matrix)
         xs = rng.normal(size=(10, square_matrix.shape[1]))
         server.start()
@@ -140,7 +240,7 @@ class TestLifecycle:
         assert stats.failed == 0
 
     def test_stop_without_drain_fails_queued_requests(self, square_matrix, rng):
-        server = _make_server(max_batch=64, max_wait_s=60.0, max_queue=128)
+        server = _make_server(max_batch=64, max_queue=128)
         server.register("A", square_matrix)
         # Never started: nothing drains the queue, so the requests are
         # still pending when the server stops.
@@ -192,7 +292,7 @@ class TestRequestPath:
             server.submit("A", np.zeros(square_matrix.shape[1] + 3))
 
     def test_backpressure_counts_rejections(self, square_matrix, rng):
-        server = _make_server(max_batch=2, max_wait_s=60.0, max_queue=2)
+        server = _make_server(max_batch=2, max_queue=2)
         server.register("A", square_matrix)
         # Not started: the queue cannot drain, so the third submit must
         # be rejected with QueueFullError.
@@ -205,7 +305,7 @@ class TestRequestPath:
         server.stop(drain=False)
 
     def test_client_many_round_trip(self, square_matrix, rng):
-        server = _make_server(max_batch=8, max_wait_s=0.005, max_queue=64)
+        server = _make_server(max_batch=8, max_queue=64)
         entry = server.register("A", square_matrix)
         xs = [rng.normal(size=square_matrix.shape[1]) for _ in range(12)]
         with server:
@@ -278,16 +378,16 @@ class TestMetricsContracts:
 
         from repro.serve import server as server_module
 
-        server = _make_server(max_batch=4, max_wait_s=0.005, max_queue=16)
+        server = _make_server(max_batch=4, max_queue=16)
         server.register("A", square_matrix)
         entered = threading.Event()
         release = threading.Event()
         real_run_batch = server_module.run_batch
 
-        def gated_run_batch(entry, batch, faults=None):
+        def gated_run_batch(entry, batch, faults=None, on_phases=None):
             entered.set()
             assert release.wait(timeout=30.0), "test deadlock"
-            return real_run_batch(entry, batch, faults)
+            return real_run_batch(entry, batch, faults, on_phases)
 
         monkeypatch.setattr(server_module, "run_batch", gated_run_batch)
         server.start()
@@ -325,7 +425,7 @@ class TestFailureHandling:
     def test_expired_deadline_fails_fast(self, square_matrix, rng):
         """A request whose deadline already passed gets
         DeadlineExceededError without running the kernel."""
-        server = _make_server(max_batch=4, max_wait_s=0.001, max_queue=16)
+        server = _make_server(max_batch=4, max_queue=16)
         server.register("A", square_matrix)
         past = server.batcher.clock() - 1.0
         with server:
@@ -345,7 +445,7 @@ class TestFailureHandling:
         next request completes normally."""
         server = SpmvServer(
             registry=MatrixRegistry(length=16),
-            policy=BatchPolicy(max_batch=1, max_wait_s=0.001, max_queue=16),
+            policy=BatchPolicy(max_batch=1, max_queue=16),
             workers=1,
             faults=FaultPlan(counts={"worker-crash": 1}),
         )
@@ -368,7 +468,7 @@ class TestFailureHandling:
         queued future with ServerStoppedError instead of stranding it."""
         server = SpmvServer(
             registry=MatrixRegistry(length=16),
-            policy=BatchPolicy(max_batch=1, max_wait_s=60.0, max_queue=16),
+            policy=BatchPolicy(max_batch=1, max_queue=16),
             workers=1,
             max_worker_respawns=0,
             faults=FaultPlan(counts={"worker-crash": 3}),
@@ -399,7 +499,7 @@ class TestFailureHandling:
         pending future resolves (typed) well inside a second."""
         import time
 
-        server = _make_server(max_batch=64, max_wait_s=60.0, max_queue=64)
+        server = _make_server(max_batch=64, max_queue=64)
         server.register("A", square_matrix)
         futures = [
             server.submit("A", rng.normal(size=square_matrix.shape[1]))
@@ -422,7 +522,7 @@ class TestFailureHandling:
 
         server = SpmvServer(
             registry=MatrixRegistry(length=16),
-            policy=BatchPolicy(max_batch=1, max_wait_s=0.001, max_queue=16),
+            policy=BatchPolicy(max_batch=1, max_queue=16),
             workers=1,
             circuits=CircuitBoard(failure_threshold=1, reset_after_s=60.0),
             faults=FaultPlan(counts={"kernel-error": 1}),
@@ -467,7 +567,7 @@ class TestFailureHandling:
         )
         server = SpmvServer(
             registry=MatrixRegistry(length=16),
-            policy=BatchPolicy(max_batch=1, max_wait_s=60.0, max_queue=1),
+            policy=BatchPolicy(max_batch=1, max_queue=1),
             circuits=board,
         )
         server.register("A", square_matrix)
@@ -528,7 +628,7 @@ class TestFailureHandling:
         )
         server = SpmvServer(
             registry=MatrixRegistry(length=16),
-            policy=BatchPolicy(max_batch=1, max_wait_s=0.001, max_queue=16),
+            policy=BatchPolicy(max_batch=1, max_queue=16),
             workers=1,
             circuits=board,
             faults=FaultPlan(counts={"worker-crash": 1}),
@@ -617,7 +717,7 @@ class TestCancelledFutures:
         """End-to-end: cancel queued requests, then serve normally — the
         worker must survive the settled futures with its respawn budget
         intact."""
-        server = _make_server(max_batch=4, max_wait_s=0.001, max_queue=64)
+        server = _make_server(max_batch=4, max_queue=64)
         entry = server.register("A", square_matrix)
         x = rng.normal(size=square_matrix.shape[1])
         # Enqueue while no worker is draining, so the cancels win the
@@ -640,7 +740,7 @@ class TestClientRetry:
     ):
         """QueueFullError is retriable: the client backs off and resubmits
         instead of surfacing transient backpressure to the caller."""
-        server = _make_server(max_batch=8, max_wait_s=0.001, max_queue=64)
+        server = _make_server(max_batch=8, max_queue=64)
         entry = server.register("A", square_matrix)
         real_submit = server.submit
         calls = {"n": 0}
@@ -663,7 +763,7 @@ class TestClientRetry:
     def test_retries_exhausted_reraises_queue_full(self, square_matrix, rng):
         """A queue that never drains (server not started) surfaces
         QueueFullError once the retry budget is spent."""
-        server = _make_server(max_batch=2, max_wait_s=60.0, max_queue=2)
+        server = _make_server(max_batch=2, max_queue=2)
         server.register("A", square_matrix)
         client = SpmvClient(server)
         for _ in range(2):
@@ -682,7 +782,7 @@ class TestClientRetry:
         server cannot hold the client past its budget."""
         from concurrent.futures import TimeoutError as FutureTimeoutError
 
-        server = _make_server(max_batch=2, max_wait_s=60.0, max_queue=16)
+        server = _make_server(max_batch=2, max_queue=16)
         server.register("A", square_matrix)
         client = SpmvClient(server)
         # Not started: the future can never resolve.

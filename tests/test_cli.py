@@ -291,7 +291,7 @@ class TestServe:
             [
                 "serve", "--tenants", "2", "--clients", "4",
                 "--requests", "24", "--dim", "96", "--density", "0.05",
-                "--length", "16", "--max-wait-ms", "5",
+                "--length", "16",
             ]
         )
         out = capsys.readouterr().out
