@@ -21,7 +21,9 @@ class GustAccelerator(Accelerator):
     Args:
         length: accelerator length (multipliers = adders = l).
         algorithm: "matching" (the paper's edge coloring), "first_fit",
-            "euler", or "naive".
+            "euler", or "naive".  "matching" (EC) and "first_fit" (FF)
+            are the same schedule by construction: Listing 1 is
+            row-major first-fit (:mod:`repro.graph.edge_coloring`).
         load_balance: apply the three-step balancer (the EC/LB series).
     """
 

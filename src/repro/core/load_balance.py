@@ -191,10 +191,7 @@ class LoadBalancer:
         win_of_unique = unique_key // n
         col_of_unique = unique_key % n
 
-        # Per window: order by descending count, ties by ascending column
-        # (the unique keys are already column-ascending inside a window,
-        # matching the seed's stable argsort).
-        by_load = np.lexsort((col_of_unique, -col_counts, win_of_unique))
+        by_load = _load_order(win_of_unique, col_counts)
         win_sorted = win_of_unique[by_load]
         window_starts = np.searchsorted(win_sorted, np.arange(windows + 1))
         rank = np.arange(by_load.size, dtype=np.int64) - window_starts[win_sorted]
@@ -212,6 +209,21 @@ class LoadBalancer:
             )
             for w in range(windows)
         ]
+
+
+def _load_order(win_of_unique: np.ndarray, col_counts: np.ndarray) -> np.ndarray:
+    """Dealing order of unique (window, column) pairs given in (window,
+    column) order: by window, then descending count, ties by ascending
+    column (the seed's stable argsort).
+
+    Equal to ``np.lexsort((cols, -col_counts, win_of_unique))``: the input
+    is already column-ascending inside each window, so one stable argsort
+    of the fused key ``win * (cmax + 1) + (cmax - count)`` keeps the column
+    tie-break.  The key is at most ``windows * (l + 1)``.
+    """
+    cmax = int(col_counts.max())
+    fused = win_of_unique * (cmax + 1) + (cmax - col_counts)
+    return np.argsort(fused, kind="stable")
 
 
 def _snake_deal_ranks(ranks: np.ndarray, length: int) -> np.ndarray:

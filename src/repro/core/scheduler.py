@@ -21,9 +21,9 @@ therefore avoids every per-window Python pass over the nonzeros:
 * **Coloring** — every built-in policy runs through a flat NumPy kernel
   that colors *all windows simultaneously* (windows are independent, so
   only the semantically sequential dimension of each algorithm remains a
-  Python loop): "matching"/"first_fit" via
-  :mod:`repro.graph.edge_coloring`'s batch kernels, "naive" via
-  :func:`repro.core.naive.naive_coloring_flat`, and "euler" via
+  Python loop): "matching"/"first_fit" via the one first-fit kernel of
+  :mod:`repro.graph.edge_coloring` (Listing 1 *is* row-major first-fit),
+  "naive" via :func:`repro.core.naive.naive_coloring_flat`, and "euler" via
   :func:`repro.graph.edge_coloring.euler_coloring_flat`, whose per-color
   Hopcroft-Karp pass peels one perfect matching from every still-active
   window at once.
@@ -61,11 +61,7 @@ from repro.core.schedule import EMPTY, Schedule
 from repro.errors import ColoringError
 from repro.graph.bipartite import WindowGraph
 from repro.graph.edge_coloring import ALGORITHMS as _COLORING_ALGORITHMS
-from repro.graph.edge_coloring import (
-    euler_coloring_flat,
-    first_fit_coloring_flat,
-    matching_coloring_flat,
-)
+from repro.graph.edge_coloring import euler_coloring_flat, first_fit_lanes
 from repro.graph.properties import validate_coloring
 from repro.sparse.coo import CooMatrix
 from repro.sparse.stats import require_positive_length, window_count
@@ -89,29 +85,31 @@ def _color_window_range(
     window_ids: np.ndarray,
     window_starts: np.ndarray,
     n_windows: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[str, int]]:
     """Color one self-contained window range with its flat kernel.
 
     Module-level (picklable) so process-pool workers can run it; window ids
     and starts must already be rebased to the chunk (first window = 0).
+    Returns the colors and, for the first-fit kernel, its lane split
+    (``scalar_windows``, ``rank_steps``).  "matching" runs the first-fit
+    kernel too: on row-major edges Listing 1 *is* first-fit
+    (:mod:`repro.graph.edge_coloring`).
     """
-    if algorithm == "matching":
-        return matching_coloring_flat(
-            local_rows, colsegs, window_ids, length, n_windows
-        )
-    if algorithm == "first_fit":
-        return first_fit_coloring_flat(
+    if algorithm in ("matching", "first_fit"):
+        colors, scalar_windows, rank_steps = first_fit_lanes(
             local_rows, colsegs, window_ids, length, n_windows, window_starts
         )
+        return colors, {
+            "scalar_windows": scalar_windows,
+            "rank_steps": rank_steps,
+        }
     if algorithm == "euler":
-        return euler_coloring_flat(
-            local_rows, colsegs, window_ids, length, n_windows
-        )
-    if algorithm == "naive":
-        return naive_coloring_flat(
-            local_rows, colsegs, window_ids, length, n_windows
-        )
-    raise ColoringError(f"no flat kernel for algorithm {algorithm!r}")
+        kernel = euler_coloring_flat
+    elif algorithm == "naive":
+        kernel = naive_coloring_flat
+    else:
+        raise ColoringError(f"no flat kernel for algorithm {algorithm!r}")
+    return kernel(local_rows, colsegs, window_ids, length, n_windows), {}
 
 
 def _color_chunk(payload):
@@ -192,6 +190,9 @@ class GustScheduler:
         #: Stall events observed by the naive policy in the last schedule()
         #: call (always 0 for coloring-based policies).
         self.last_stalls = 0
+        # First-fit lane split of the last coloring pass, annotated on the
+        # ``compile.coloring`` span (empty for the other policies).
+        self._lanes: dict[str, int] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -218,9 +219,10 @@ class GustScheduler:
 
         with _obs.phase("partition"):
             partition = self._partition(balanced)
-        with _obs.phase("coloring"):
+        with _obs.phase("coloring") as coloring:
             colors = self._color_flat(balanced, partition)
             counts = self._counts(partition, colors)
+            coloring.annotate(**self._lanes)
 
         # Listing 2 as one scatter: timestep = window offset + edge color.
         with _obs.phase("scatter"):
@@ -317,14 +319,15 @@ class GustScheduler:
     ) -> np.ndarray:
         """Color every edge of every window; flat array aligned with edges."""
         self.last_stalls = 0
+        self._lanes = {}
         length = self.length
         windows = max(1, partition.windows)
         if self.algorithm in _FLAT_ALGORITHMS:
             jobs = self._effective_jobs(partition)
             if jobs > 1:
-                colors = self._color_multiprocess(partition, jobs)
+                colors, self._lanes = self._color_multiprocess(partition, jobs)
             else:
-                colors = _color_window_range(
+                colors, self._lanes = _color_window_range(
                     self.algorithm,
                     length,
                     partition.local_rows,
@@ -358,7 +361,7 @@ class GustScheduler:
 
     def _color_multiprocess(
         self, partition: _Partition, jobs: int
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, dict[str, int]]:
         """Color nnz-balanced window chunks in a process pool and merge.
 
         Each chunk is rebased into a standalone partition (window ids and
@@ -412,7 +415,11 @@ class GustScheduler:
                 results = list(pool.map(_color_chunk, payloads))
         except BrokenProcessPool:
             results = [_color_window_range(*chunk) for chunk in chunks]
-        return np.concatenate(results)
+        lanes = {
+            key: sum(chunk_lanes[key] for _, chunk_lanes in results)
+            for key in results[0][1]
+        }
+        return np.concatenate([colors for colors, _ in results]), lanes
 
     def _window_graphs(self, balanced: BalancedMatrix, partition: _Partition):
         """Yield (WindowGraph, edge slice) per window, via partition slices."""

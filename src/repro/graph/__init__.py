@@ -12,10 +12,17 @@ Three coloring algorithms are provided:
 * :func:`~repro.graph.edge_coloring.greedy_matching_coloring` — the paper's
   Listing 1 (round-based greedy maximal matching).  The default.
 * :func:`~repro.graph.edge_coloring.first_fit_coloring` — per-edge first-fit
-  with bitmask bookkeeping; faster in Python, never worse than 2Δ−1 colors.
+  in row-major order, never worse than 2Δ−1 colors.
 * :func:`~repro.graph.edge_coloring.euler_coloring` — exactly Δ colors (the
   König optimum) via regularization + repeated perfect matchings; the
   paper's future-work-quality ablation.
+
+The first two are one coloring: round ``r`` of Listing 1 gives each row,
+in index order, its first pending edge on a lane no earlier row took in
+that round, and by induction over the edges in row-major order that is
+exactly the smallest color free at both the edge's row and its lane
+(proof in :mod:`repro.graph.edge_coloring`).  Both run on one first-fit
+kernel.
 """
 
 from repro.graph.bipartite import WindowGraph

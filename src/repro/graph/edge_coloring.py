@@ -12,7 +12,7 @@ Three algorithms, trading faithfulness against color count and speed:
 algorithm              colors                       provenance
 =====================  ===========================  =======================
 greedy_matching        <= 2*Delta - 1, ~Delta typ.  the paper's Listing 1
-first_fit              <= 2*Delta - 1, ~Delta typ.  fast bitmask variant
+first_fit              same as greedy_matching      row-major first-fit
 euler (matching peel)  == Delta exactly             König optimum, ablation
 =====================  ===========================  =======================
 
@@ -21,28 +21,40 @@ per-edge int64 color array aligned with the graph's edge arrays, using
 ``-1`` for "uncolored" (a completed coloring contains no ``-1``; the
 dispatcher :func:`color_edges` enforces this).
 
-Vectorized batch kernels
-------------------------
+Listing 1 is row-major first-fit
+--------------------------------
 
-All three algorithms are backed by NumPy kernels
-(:func:`matching_coloring_flat`, :func:`first_fit_coloring_flat`,
-:func:`euler_coloring_flat`) that operate on *flat edge arrays spanning
-every window at once* rather than per-vertex Python lists.  Window graphs
-are independent, so the kernels batch the embarrassingly parallel
-dimension (windows) and keep only the semantically sequential dimension
-as a Python loop:
+Round ``r`` of Listing 1 lets each row, in index order, take its first
+pending edge whose lane (column segment) no earlier row claimed in round
+``r``.  First-fit gives each edge, in row-major storage order, the
+smallest color free at both its row and its lane.  The two rules produce
+the same coloring, edge for edge.  By induction over the edges in that
+order: let ``e`` be an edge of row ``i`` on lane ``j``, ``F`` the colors
+that rows before ``i`` put on lane ``j`` and ``C`` the colors of row
+``i``'s earlier edges, all equal under both rules.  In round ``r``,
+Listing 1 cannot give ``e`` color ``r`` if ``r`` is in ``C`` (row ``i``
+already took an edge that round) or in ``F`` (the lane is claimed).
+Otherwise every earlier edge of row ``i`` still pending in round ``r``
+has a first-fit color above ``r`` without ``r`` in its own ``C``, so
+``r`` is in its ``F``: its lane is claimed, and ``e`` is the row's first
+eligible edge.  So ``e`` gets the smallest ``r`` outside ``F`` and
+``C``, which is its first-fit color.  Hence "matching" and "first_fit"
+are one schedule, and both run on one kernel.
 
-* greedy matching iterates (round, local row) — within a round, Listing 1
-  scans left vertices in index order and claims accumulate, so rows are
-  sequential, but the same local row of every window is processed in one
-  vectorized step;
-* first-fit iterates the within-window edge rank — edge ``k`` of every
-  window takes its smallest free color in one vectorized step against
-  boolean (vertex, color) occupancy tables;
-* euler iterates colors — one
-  :func:`~repro.graph.matching.hopcroft_karp_flat` pass over the disjoint
-  union of all still-active windows peels color ``c``'s perfect matching
-  for every window simultaneously.
+One kernel, two lanes
+---------------------
+
+:func:`first_fit_coloring_flat` colors *flat edge arrays spanning every
+window at once*, each window on one of two lanes.  The **rank-major
+lane** colors edge ``k`` of all its windows in one vectorized step
+(uint64 bitmasks for palettes <= 64, boolean tables above), so it takes
+as many steps as its largest window has edges.  The **scalar lane**
+walks its windows edge by edge over Python-int bitmasks.  The largest
+windows go scalar (see :func:`_scalar_windows`); both lanes take the
+lowest free bit, so the split never changes a color.
+:func:`euler_coloring_flat` instead peels one perfect matching per color
+from the disjoint union of all still-active windows with one
+:func:`~repro.graph.matching.hopcroft_karp_flat` pass.
 
 The kernels reproduce the original per-window Python implementations
 (preserved in :mod:`repro.graph._reference`) *edge-for-edge*, which
@@ -59,139 +71,53 @@ from repro.errors import ColoringError
 from repro.graph.bipartite import WindowGraph
 from repro.graph.matching import hopcroft_karp_flat
 
-#: Byte budget for first-fit's two boolean occupancy tables; beyond it the
-#: kernel colors window by window so a degree hub cannot inflate the
-#: (slots x palette) allocation (the tables fall back to O(l x palette_w)).
+#: Byte budget for the rank-major lane's occupancy tables; windows that
+#: would push the tables past it are colored on the scalar lane instead.
 _FIRST_FIT_TABLE_BUDGET = 1 << 27
 
 #: ``np.bitwise_count`` arrived in NumPy 2.0; the uint64 first-fit fast
 #: path silently falls back to the boolean tables without it.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
+#: Scalar-lane edges that cost as much as one rank-major step.  Measured
+#: on a 2-core Xeon host (Python 3.11, NumPy 2.4): a scalar edge ~0.7 us,
+#: a 16-to-150-window bitmask step ~20-30 us; 32 minimized the total
+#: coloring time of the benchmark's surrogate matrices at ``l = 64``.
+STEP_COST = 32
 
-def matching_coloring_flat(
+
+def _rank_major(
     local_rows: np.ndarray,
     colsegs: np.ndarray,
     window_ids: np.ndarray,
     length: int,
-    n_windows: int,
-) -> np.ndarray:
-    """Listing 1 greedy matching over the flat edge arrays of many windows.
+    window_starts: np.ndarray,
+    slots: int,
+):
+    """Edges re-sorted rank-major (the ``k``-th edge of every window
+    adjacent), so each step's operands are contiguous views.
 
-    Args:
-        local_rows: per-edge left vertex (row index within its window).
-        colsegs: per-edge right vertex (multiplier lane).
-        window_ids: per-edge owning window; edges must be grouped by window
-            and, within a (window, row) pair, ordered by column — the
-            canonical COO order delivers exactly this.
-        length: accelerator length ``l``.
-        n_windows: total window count (claim-table width).
-
-    Returns:
-        int64 colors aligned with the edge arrays; every edge is colored.
-
-    Round ``clr`` scans local rows in index order; each row colors its
-    first remaining edge whose column segment is not yet claimed *in its
-    own window* this round, then stops (the ``break`` in Listing 1).
-    Claims only interact within a window, so one step resolves local row
-    ``i`` of every window simultaneously and exactly reproduces the
-    sequential per-window result.
+    Returns ``(by_rank, row_keys, seg_keys, rank_starts)``: the
+    permutation, the (window, vertex) slot keys in that order, and the
+    step boundaries.  A stable sort on the rank keeps window order inside
+    each step; int32 operands halve the gather bandwidth.
     """
     edge_count = int(local_rows.size)
-    colors = np.full(edge_count, -1, dtype=np.int64)
-    if edge_count == 0:
-        return colors
-
-    # Group edges by local row; the stable sort keeps (window, column)
-    # order inside each group, i.e. each row's Listing-1 scan order.  The
-    # pending edge ids and their (window, seg) claim keys travel as aligned
-    # arrays compacted once per round, so the hot per-row step works on
-    # views instead of re-gathering.  int32 halves the gather bandwidth
-    # (edge counts and claim keys comfortably fit).
     index_dtype = (
         np.int32
-        if max(edge_count, n_windows * length) <= np.iinfo(np.int32).max
+        if max(edge_count, slots) <= np.iinfo(np.int32).max
         else np.int64
     )
-    # Narrow sort keys make NumPy's stable radix sort a single pass.
-    sort_keys = (
-        local_rows.astype(np.int16)
-        if length <= np.iinfo(np.int16).max
-        else local_rows
+    ranks = (
+        np.arange(edge_count, dtype=np.int64) - window_starts[window_ids]
+    ).astype(index_dtype)
+    by_rank = np.argsort(ranks, kind="stable")
+    row_keys = (window_ids * length + local_rows)[by_rank].astype(index_dtype)
+    seg_keys = (window_ids * length + colsegs)[by_rank].astype(index_dtype)
+    rank_starts = np.searchsorted(
+        ranks[by_rank], np.arange(int(ranks.max()) + 2)
     )
-    pending = np.argsort(sort_keys, kind="stable").astype(index_dtype)
-    pending_rows = local_rows[pending].astype(index_dtype)
-    pending_segs = (window_ids[pending] * length + colsegs[pending]).astype(
-        index_dtype
-    )
-    claimed = np.zeros(n_windows * length, dtype=bool)
-    row_range = np.arange(length + 1)
-
-    clr = 0
-    while pending.size:
-        block_starts = np.searchsorted(pending_rows, row_range)
-        round_claims: list[np.ndarray] = []
-        for i in range(length):
-            lo, hi = block_starts[i], block_starts[i + 1]
-            if lo == hi:
-                continue
-            seg_view = pending_segs[lo:hi]
-            open_mask = claimed[seg_view]
-            np.logical_not(open_mask, out=open_mask)
-            cand_segs = seg_view[open_mask]
-            if cand_segs.size == 0:
-                continue
-            # First unclaimed edge per window: candidates are window-grouped
-            # and the claim key's high digits are the window id, so key-
-            # group boundaries mark each window's winning edge.
-            cand_wins = cand_segs // length
-            first = np.empty(cand_segs.size, dtype=bool)
-            first[0] = True
-            np.not_equal(cand_wins[1:], cand_wins[:-1], out=first[1:])
-            colors[pending[lo:hi][open_mask][first]] = clr
-            won_segs = cand_segs[first]
-            claimed[won_segs] = True
-            round_claims.append(won_segs)
-        # Retract only this round's claims: one edge colored = one claim,
-        # so the total reset work is O(nnz) over the whole run instead of
-        # O(rounds x n_windows x length) full-table clears.
-        for won_segs in round_claims:
-            claimed[won_segs] = False
-        still_pending = colors[pending] < 0
-        if still_pending.all():
-            raise ColoringError(
-                "greedy matching made no progress; inconsistent edge arrays"
-            )
-        pending = pending[still_pending]
-        pending_rows = pending_rows[still_pending]
-        pending_segs = pending_segs[still_pending]
-        clr += 1
-    return colors
-
-
-def _first_fit_bigint(
-    local_rows: np.ndarray, colsegs: np.ndarray, length: int
-) -> np.ndarray:
-    """Single-window first-fit over per-vertex big-int color bitmasks.
-
-    Memory floor for degree-hub windows where even one window's boolean
-    occupancy tables would exceed the budget: O(length) Python integers,
-    the seed implementation's layout.  Identical colors by construction —
-    both walk the edges in storage order taking the smallest free color.
-    """
-    edge_colors = np.full(local_rows.size, -1, dtype=np.int64)
-    row_used = [0] * length
-    seg_used = [0] * length
-    for edge_id in range(local_rows.size):
-        i = local_rows[edge_id]
-        j = colsegs[edge_id]
-        free = ~(row_used[i] | seg_used[j])
-        color = (free & -free).bit_length() - 1
-        bit = 1 << color
-        row_used[i] |= bit
-        seg_used[j] |= bit
-        edge_colors[edge_id] = color
-    return edge_colors
+    return by_rank, row_keys, seg_keys, rank_starts
 
 
 def _first_fit_flat_bitmask(
@@ -202,55 +128,189 @@ def _first_fit_flat_bitmask(
     window_starts: np.ndarray,
     slots: int,
 ) -> np.ndarray:
-    """First-fit over uint64 per-vertex color bitmasks (palette <= 64).
+    """Rank-major lane over uint64 per-vertex color bitmasks (palette <= 64).
 
-    The same rank-major step order as the boolean-table kernel — edge ``k``
-    of every still-active window is resolved in one vectorized step — but
-    each vertex's occupied-color set is a single uint64, so a step is two
-    gathers, three bitwise ops, and a ``np.bitwise_count`` instead of an
-    ``argmax`` over a (heads x palette) boolean block.  The first-fit
-    bound guarantees the smallest free color of every edge fits in
+    Each vertex's occupied-color set is a single uint64, so a step is two
+    gathers, a few bitwise ops and two scatters.  The first-fit bound
+    guarantees the smallest free color of every edge fits in
     ``deg(row) + deg(colseg) - 1 <= 64`` bits, so the masks never
-    overflow; colors are identical to the boolean path by construction
-    (both take the lowest free bit).
+    overflow.  Each step stores its lowest free bits; one popcount at the
+    end turns them into colors.
     """
-    edge_count = int(local_rows.size)
-    colors = np.full(edge_count, -1, dtype=np.int64)
-    row_key = window_ids * length + local_rows
-    seg_key = window_ids * length + colsegs
-
-    index_dtype = (
-        np.int32
-        if max(edge_count, slots) <= np.iinfo(np.int32).max
-        else np.int64
+    by_rank, row_keys, seg_keys, rank_starts = _rank_major(
+        local_rows, colsegs, window_ids, length, window_starts, slots
     )
-    ranks = (
-        np.arange(edge_count, dtype=np.int64) - window_starts[window_ids]
-    ).astype(index_dtype)
-    by_rank = np.argsort(ranks, kind="stable")
-    row_by_rank = row_key[by_rank].astype(index_dtype)
-    seg_by_rank = seg_key[by_rank].astype(index_dtype)
-    rank_starts = np.searchsorted(
-        ranks[by_rank], np.arange(int(ranks.max()) + 2)
-    )
-
     one = np.uint64(1)
     row_used = np.zeros(slots, dtype=np.uint64)
     seg_used = np.zeros(slots, dtype=np.uint64)
+    lsb_by_rank = np.empty(by_rank.size, dtype=np.uint64)
     for k in range(rank_starts.size - 1):
         lo, hi = rank_starts[k], rank_starts[k + 1]
-        rows = row_by_rank[lo:hi]
-        segs = seg_by_rank[lo:hi]
-        used = row_used[rows] | seg_used[segs]
-        # Lowest free bit: free & -free, written as ~used & (used + 1) to
-        # stay in unsigned arithmetic throughout.
-        lsb = ~used & (used + one)
-        colors[by_rank[lo:hi]] = np.bitwise_count(lsb - one)
-        # One edge per window per rank, so rows/segs are duplicate-free
-        # within a step and plain fancy assignment is a safe accumulate.
-        row_used[rows] |= lsb
-        seg_used[segs] |= lsb
+        rows = row_keys[lo:hi]
+        segs = seg_keys[lo:hi]
+        row_bits = row_used[rows]
+        seg_bits = seg_used[segs]
+        used = row_bits | seg_bits
+        # Lowest free bit: ~used & (used + 1), unsigned throughout.
+        lsb = lsb_by_rank[lo:hi]
+        np.add(used, one, out=lsb)
+        np.bitwise_and(lsb, np.invert(used, out=used), out=lsb)
+        # One edge per window per step, so rows/segs are duplicate-free
+        # and the gathered masks can be written back directly.
+        row_used[rows] = row_bits | lsb
+        seg_used[segs] = seg_bits | lsb
+    colors = np.empty(by_rank.size, dtype=np.int64)
+    colors[by_rank] = np.bitwise_count(lsb_by_rank - one)
     return colors
+
+
+def _first_fit_flat_tables(
+    local_rows: np.ndarray,
+    colsegs: np.ndarray,
+    window_ids: np.ndarray,
+    length: int,
+    window_starts: np.ndarray,
+    slots: int,
+    palette: int,
+) -> np.ndarray:
+    """Rank-major lane over boolean (vertex, color) occupancy tables.
+
+    The smallest color free at both endpoints is an ``argmax`` over the
+    step's free rows; a palette of the lane's largest
+    ``row_deg + seg_deg - 1`` always holds a free color.
+    """
+    by_rank, row_keys, seg_keys, rank_starts = _rank_major(
+        local_rows, colsegs, window_ids, length, window_starts, slots
+    )
+    row_used = np.zeros((slots, palette), dtype=bool)
+    seg_used = np.zeros((slots, palette), dtype=bool)
+    chosen_by_rank = np.empty(by_rank.size, dtype=np.int64)
+    for k in range(rank_starts.size - 1):
+        lo, hi = rank_starts[k], rank_starts[k + 1]
+        rows = row_keys[lo:hi]
+        segs = seg_keys[lo:hi]
+        free = row_used[rows]
+        np.logical_or(free, seg_used[segs], out=free)
+        np.logical_not(free, out=free)
+        chosen = free.argmax(axis=1)
+        row_used[rows, chosen] = True
+        seg_used[segs, chosen] = True
+        chosen_by_rank[lo:hi] = chosen
+    colors = np.empty(by_rank.size, dtype=np.int64)
+    colors[by_rank] = chosen_by_rank
+    return colors
+
+
+def _first_fit_scalar(
+    row_keys: np.ndarray, seg_keys: np.ndarray, slots: int
+) -> np.ndarray:
+    """Scalar lane: one edge at a time over Python-int color bitmasks.
+
+    Costs per edge instead of per step and has no palette bound, so it
+    takes hub windows and windows too large for the rank-major tables.
+    """
+    row_used = [0] * slots
+    seg_used = [0] * slots
+    colors = []
+    for i, j in zip(row_keys.tolist(), seg_keys.tolist()):
+        used = row_used[i] | seg_used[j]
+        free = ~used & (used + 1)
+        row_used[i] |= free
+        seg_used[j] |= free
+        colors.append(free.bit_length() - 1)
+    return np.array(colors, dtype=np.int64)
+
+
+def _scalar_windows(
+    sizes: np.ndarray, palettes: np.ndarray, length: int
+) -> np.ndarray:
+    """Mask of the windows the scalar lane colors.
+
+    Taking the ``k`` largest windows costs their edges plus ``STEP_COST``
+    per rank-major step, i.e. times the ``k+1``-th largest size; the
+    cheapest ``k`` wins.  Then, while the rank-major tables would exceed
+    the budget, the widest-palette window left moves over too.
+    """
+    order = np.argsort(-sizes, kind="stable")
+    ranked = sizes[order]
+    cost = np.concatenate(([0], np.cumsum(ranked))) + STEP_COST * np.append(
+        ranked, 0
+    )
+    scalar = np.zeros(sizes.size, dtype=bool)
+    scalar[order[: int(np.argmin(cost))]] = True
+
+    rest = np.flatnonzero(~scalar & (sizes > 0))
+    rest = rest[np.argsort(-palettes[rest], kind="stable")]
+    widest = palettes[rest]
+    slot_bytes = np.where(
+        _HAS_BITWISE_COUNT & (widest <= 64), 16, 2 * widest
+    )
+    table_bytes = (rest.size - np.arange(rest.size)) * length * slot_bytes
+    fits = np.flatnonzero(table_bytes <= _FIRST_FIT_TABLE_BUDGET)
+    scalar[rest[: fits[0] if fits.size else rest.size]] = True
+    return scalar
+
+
+def _lane(mask: np.ndarray, window_ids: np.ndarray, window_starts: np.ndarray):
+    """Edge ids, rebased window ids and window starts of the windows in
+    ``mask``, as a self-contained flat partition."""
+    edges = np.flatnonzero(mask[window_ids])
+    rebased = (np.cumsum(mask) - 1)[window_ids[edges]]
+    starts = np.concatenate(([0], np.cumsum(np.diff(window_starts)[mask])))
+    return edges, rebased, starts
+
+
+def first_fit_lanes(
+    local_rows: np.ndarray,
+    colsegs: np.ndarray,
+    window_ids: np.ndarray,
+    length: int,
+    n_windows: int,
+    window_starts: np.ndarray,
+) -> tuple[np.ndarray, int, int]:
+    """:func:`first_fit_coloring_flat` plus its lane split.
+
+    Returns ``(colors, scalar_windows, rank_steps)``: the colors, the
+    number of windows the scalar lane colored and the number of
+    rank-major steps.
+    """
+    edge_count = int(local_rows.size)
+    colors = np.full(edge_count, -1, dtype=np.int64)
+    if edge_count == 0:
+        return colors, 0, 0
+
+    slots = n_windows * length
+    row_deg = np.bincount(window_ids * length + local_rows, minlength=slots)
+    seg_deg = np.bincount(window_ids * length + colsegs, minlength=slots)
+    palettes = np.maximum(
+        row_deg.reshape(n_windows, length).max(axis=1)
+        + seg_deg.reshape(n_windows, length).max(axis=1)
+        - 1,
+        1,
+    )
+    sizes = np.diff(window_starts)
+    scalar = _scalar_windows(sizes, palettes, length)
+    rank = ~scalar & (sizes > 0)
+
+    scalar_windows = int(scalar.sum())
+    if scalar_windows:
+        edges, rebased, _ = _lane(scalar, window_ids, window_starts)
+        colors[edges] = _first_fit_scalar(
+            rebased * length + local_rows[edges],
+            rebased * length + colsegs[edges],
+            scalar_windows * length,
+        )
+    rank_steps = int(sizes[rank].max()) if rank.any() else 0
+    if rank_steps:
+        edges, rebased, starts = _lane(rank, window_ids, window_starts)
+        lane_slots = int(rank.sum()) * length
+        palette = int(palettes[rank].max())
+        args = (local_rows[edges], colsegs[edges], rebased, length, starts)
+        if _HAS_BITWISE_COUNT and palette <= 64:
+            colors[edges] = _first_fit_flat_bitmask(*args, lane_slots)
+        else:
+            colors[edges] = _first_fit_flat_tables(*args, lane_slots, palette)
+    return colors, scalar_windows, rank_steps
 
 
 def first_fit_coloring_flat(
@@ -264,99 +324,37 @@ def first_fit_coloring_flat(
     """First-fit coloring over the flat edge arrays of many windows.
 
     Args:
+        local_rows: per-edge left vertex (row index within its window).
+        colsegs: per-edge right vertex (multiplier lane).
+        window_ids: per-edge owning window; edges must be grouped by
+            window.  With rows ascending inside each window (the
+            canonical COO order) the result is also Listing 1's coloring.
+        length: accelerator length ``l``.
+        n_windows: total window count.
         window_starts: int64 array of ``n_windows + 1`` offsets delimiting
-            each window's contiguous edge slice; other arguments as in
-            :func:`matching_coloring_flat`.
+            each window's contiguous edge slice.
 
-    Each window processes its edges in storage (row-major) order; windows
-    are independent, so step ``k`` assigns the ``k``-th edge of every
-    still-active window at once.  The smallest color free at both
-    endpoints is found with an ``argmax`` over boolean per-vertex
-    occupancy rows; a palette of ``max_row_deg + max_seg_deg - 1`` colors
-    always contains a free slot (the classic first-fit bound), so no
-    reallocation is ever needed.
+    Each window takes its edges in storage order, each edge the smallest
+    color free at both endpoints.  See the module docstring for the two
+    lanes; :func:`first_fit_lanes` also reports the split.
     """
-    edge_count = int(local_rows.size)
-    colors = np.full(edge_count, -1, dtype=np.int64)
-    if edge_count == 0:
-        return colors
+    return first_fit_lanes(
+        local_rows, colsegs, window_ids, length, n_windows, window_starts
+    )[0]
 
-    row_key = window_ids * length + local_rows
-    seg_key = window_ids * length + colsegs
-    max_row_deg = int(np.bincount(row_key).max())
-    max_seg_deg = int(np.bincount(seg_key).max())
-    palette = max(1, max_row_deg + max_seg_deg - 1)
-    slots = n_windows * length
 
-    if (
-        _HAS_BITWISE_COUNT
-        and palette <= 64
-        and 16 * slots <= _FIRST_FIT_TABLE_BUDGET
-    ):
-        # Bitmask fast path: with at most 64 colors in play, each vertex's
-        # occupancy row collapses from ``palette`` booleans to one uint64,
-        # and the smallest free color is a popcount away — same colors,
-        # an order of magnitude less table memory and per-step work.
-        return _first_fit_flat_bitmask(
-            local_rows, colsegs, window_ids, length, window_starts, slots
-        )
-
-    if 2 * slots * palette > _FIRST_FIT_TABLE_BUDGET:
-        # The palette is sized by the *global* degree maximum, so one hub
-        # row or column would inflate the occupancy tables of every window.
-        # Windows are independent: color them one at a time with window-
-        # local tables instead — identical colors, O(l * palette_w) memory
-        # per window.  A single window whose own tables would still bust
-        # the budget drops to O(l) big-int bitmasks.
-        if n_windows == 1:
-            return _first_fit_bigint(local_rows, colsegs, length)
-        for w in range(n_windows):
-            lo, hi = int(window_starts[w]), int(window_starts[w + 1])
-            if lo == hi:
-                continue
-            colors[lo:hi] = first_fit_coloring_flat(
-                local_rows[lo:hi],
-                colsegs[lo:hi],
-                np.zeros(hi - lo, dtype=np.int64),
-                length,
-                1,
-                np.array([0, hi - lo], dtype=np.int64),
-            )
-        return colors
-
-    row_used = np.zeros((slots, palette), dtype=bool)
-    seg_used = np.zeros((slots, palette), dtype=bool)
-
-    # Re-sort the edges rank-major (k-th edge of every window adjacent) so
-    # each step's operands are contiguous views, not fancy gathers.  A
-    # stable single-key sort on the rank preserves window order inside
-    # each rank group; int32 operands halve the gather bandwidth.
-    index_dtype = (
-        np.int32
-        if max(edge_count, slots) <= np.iinfo(np.int32).max
-        else np.int64
+def _one_window(
+    local_rows: np.ndarray, colsegs: np.ndarray, length: int
+) -> np.ndarray:
+    """First-fit colors of one window's edges in the given order."""
+    return first_fit_coloring_flat(
+        local_rows,
+        colsegs,
+        np.zeros(local_rows.size, dtype=np.int64),
+        length,
+        1,
+        np.array([0, local_rows.size], dtype=np.int64),
     )
-    ranks = (
-        np.arange(edge_count, dtype=np.int64) - window_starts[window_ids]
-    ).astype(index_dtype)
-    by_rank = np.argsort(ranks, kind="stable")
-    row_by_rank = row_key[by_rank].astype(index_dtype)
-    seg_by_rank = seg_key[by_rank].astype(index_dtype)
-    rank_starts = np.searchsorted(
-        ranks[by_rank], np.arange(int(ranks.max()) + 2)
-    )
-    for k in range(rank_starts.size - 1):
-        lo, hi = rank_starts[k], rank_starts[k + 1]
-        rows = row_by_rank[lo:hi]
-        segs = seg_by_rank[lo:hi]
-        free = row_used[rows]
-        np.logical_or(free, seg_used[segs], out=free)
-        np.logical_not(free, out=free)
-        chosen = free.argmax(axis=1)
-        row_used[rows, chosen] = True
-        seg_used[segs, chosen] = True
-        colors[by_rank[lo:hi]] = chosen
-    return colors
 
 
 def greedy_matching_coloring(graph: WindowGraph) -> np.ndarray:
@@ -365,33 +363,33 @@ def greedy_matching_coloring(graph: WindowGraph) -> np.ndarray:
     Round ``clr`` scans left vertices in index order; each vertex colors its
     first remaining edge whose column segment is not yet claimed this round,
     then stops (the ``break`` in Listing 1).  Rounds repeat until every edge
-    is colored.  Single-window wrapper over :func:`matching_coloring_flat`.
+    is colored.  That is first-fit in row-major order (module docstring),
+    so this runs the first-fit kernel on the edges stably sorted by row.
     """
-    return matching_coloring_flat(
-        np.asarray(graph.local_rows, dtype=np.int64),
-        np.asarray(graph.colsegs, dtype=np.int64),
-        np.zeros(graph.edge_count, dtype=np.int64),
+    rows = np.asarray(graph.local_rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    colors = np.empty(graph.edge_count, dtype=np.int64)
+    colors[order] = _one_window(
+        rows[order],
+        np.asarray(graph.colsegs, dtype=np.int64)[order],
         graph.length,
-        1,
     )
+    return colors
 
 
 def first_fit_coloring(graph: WindowGraph) -> np.ndarray:
     """Per-edge first-fit: each edge takes the smallest color free at both
-    endpoints, processed in row-major (canonical COO) order.
+    endpoints, processed in storage (canonical row-major) order.
 
     Color count is bounded by deg(row) + deg(colseg) - 1 <= 2*Delta - 1 and
     is typically within a few percent of Delta.  Single-window wrapper over
     :func:`first_fit_coloring_flat`; zero-edge graphs return the documented
     ``-1``-filled (here: empty) array like every other algorithm.
     """
-    return first_fit_coloring_flat(
+    return _one_window(
         np.asarray(graph.local_rows, dtype=np.int64),
         np.asarray(graph.colsegs, dtype=np.int64),
-        np.zeros(graph.edge_count, dtype=np.int64),
         graph.length,
-        1,
-        np.array([0, graph.edge_count], dtype=np.int64),
     )
 
 
@@ -541,9 +539,8 @@ def euler_coloring_flat(
     # right's owner is a distance-0 free root), so it degenerates to "each
     # left vertex, in ascending order, takes its first free right in
     # adjacency order".  Windows are independent, so that scan can run one
-    # local row of *every* window per vectorized step — the same
-    # first-open-edge-per-group trick as :func:`matching_coloring_flat` —
-    # and be handed to :func:`hopcroft_karp_flat` as the seed matching.
+    # local row of *every* window per vectorized step — the first open edge
+    # of each group marks the winner — and be handed to :func:`hopcroft_karp_flat` as the seed matching.
     # The seeded run is then identical to the unseeded one from its second
     # phase onward, with the first BFS+scan eliminated.
     rows_local = lefts % length

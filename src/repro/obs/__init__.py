@@ -86,3 +86,7 @@ class phase:
         ).observe(elapsed, phase=self.name)
         self._span.__exit__(exc_type, exc, tb)
         return False
+
+    def annotate(self, **args) -> None:
+        """Attach arguments to the phase's span (no-op when not tracing)."""
+        self._span.annotate(**args)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CooMatrix, GustScheduler, LoadBalancer
-from repro.core.load_balance import identity_balance
+from repro.core.load_balance import _load_order, identity_balance
 
 
 @pytest.fixture
@@ -116,3 +118,23 @@ class TestEndToEnd:
         balanced_input = LoadBalancer(64).balance(matrix)
         balanced = scheduler.schedule_balanced(balanced_input).execution_cycles
         assert balanced < plain
+
+
+class TestLoadOrder:
+    @given(
+        windows=st.integers(1, 40),
+        n=st.integers(1, 60),
+        length=st.integers(1, 64),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fused_key_equals_three_key_lexsort(self, windows, n, length, seed):
+        """Unique (window, column) pairs arrive in (window, column) order;
+        the fused-key argsort must deal them exactly like the lexsort."""
+        rng = np.random.default_rng(seed)
+        keys = np.unique(rng.integers(0, windows * n, rng.integers(1, 200)))
+        win, col = keys // n, keys % n
+        counts = rng.integers(1, length + 1, keys.size)
+        np.testing.assert_array_equal(
+            _load_order(win, counts), np.lexsort((col, -counts, win))
+        )

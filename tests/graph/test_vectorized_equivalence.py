@@ -9,10 +9,12 @@ multi-window entry points must agree with coloring each window separately.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import CooMatrix, GustScheduler, LoadBalancer, uniform_random
+from repro import CooMatrix, GustScheduler, LoadBalancer, obs, uniform_random
 from repro.core.load_balance import identity_balance
 from repro.errors import ColoringError
+from repro.graph import edge_coloring
 from repro.graph._reference import (
     REFERENCE_ALGORITHMS,
     reference_color_counts,
@@ -24,6 +26,7 @@ from repro.graph.edge_coloring import (
     color_edges,
     euler_coloring,
     first_fit_coloring,
+    first_fit_lanes,
     greedy_matching_coloring,
 )
 from repro.graph.properties import validate_coloring
@@ -56,6 +59,33 @@ class TestPerWindowEquivalence:
         seed_colors = REFERENCE_ALGORITHMS[name](graph)
         new_colors = VECTORIZED[name](graph)
         np.testing.assert_array_equal(new_colors, seed_colors)
+
+    @given(graph=window_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_first_fit_is_listing_1(self, graph):
+        """Row-major first-fit reproduces the seed Listing 1 edge for edge:
+        the identity that lets both policies share one kernel."""
+        np.testing.assert_array_equal(
+            first_fit_coloring(graph), REFERENCE_ALGORITHMS["matching"](graph)
+        )
+
+    @given(graph=window_graphs(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matching_on_shuffled_edges(self, graph, seed):
+        """Listing 1 scans rows in index order whatever the storage order;
+        the wrapper must sort rows before running first-fit."""
+        order = np.random.default_rng(seed).permutation(graph.edge_count)
+        shuffled = WindowGraph(
+            length=graph.length,
+            local_rows=graph.local_rows[order],
+            colsegs=graph.colsegs[order],
+            cols=graph.cols[order],
+            values=graph.values[order],
+        )
+        np.testing.assert_array_equal(
+            greedy_matching_coloring(shuffled),
+            REFERENCE_ALGORITHMS["matching"](shuffled),
+        )
 
     @pytest.mark.parametrize("name", sorted(VECTORIZED))
     @given(graph=window_graphs())
@@ -127,6 +157,74 @@ class TestFirstFitMemoryFallback:
         assert fallback.window_colors == batched.window_colors
         np.testing.assert_array_equal(fallback.row_sch, batched.row_sch)
         np.testing.assert_array_equal(fallback.m_sch, batched.m_sch)
+
+
+def _hub_matrix(length=16, small_windows=60, n=150):
+    """One dense hub window first, then many sparse windows."""
+    hub_rows, hub_cols = np.divmod(np.arange(length * n), n)
+    tail = uniform_random(length * small_windows, n, 0.01, seed=3)
+    return CooMatrix.from_arrays(
+        np.concatenate([hub_rows, tail.rows + length]),
+        np.concatenate([hub_cols, tail.cols]),
+        np.ones(hub_rows.size + tail.nnz),
+        (length * (small_windows + 1), n),
+    )
+
+
+class TestTwoLanes:
+    """The scalar and rank-major lanes of the first-fit kernel color the
+    same way; the split between them only moves the cost."""
+
+    LENGTH = 16
+
+    def _lanes(self, matrix):
+        balanced = identity_balance(matrix, self.LENGTH)
+        part = GustScheduler(self.LENGTH)._partition(balanced)
+        result = first_fit_lanes(
+            part.local_rows,
+            part.colsegs,
+            part.window_ids,
+            self.LENGTH,
+            part.windows,
+            part.window_starts,
+        )
+        return balanced, part, result
+
+    def test_hub_window_takes_scalar_lane(self, monkeypatch):
+        monkeypatch.setattr(edge_coloring, "STEP_COST", 32)
+        balanced, part, (colors, scalar_windows, rank_steps) = self._lanes(
+            _hub_matrix()
+        )
+        assert scalar_windows == 1
+        assert 0 < rank_steps < int(np.diff(part.window_starts).max())
+        starts = part.window_starts
+        for name in ("first_fit", "matching"):
+            per_window = reference_window_colorings(balanced, self.LENGTH, name)
+            for w, seed_colors in enumerate(per_window):
+                np.testing.assert_array_equal(
+                    colors[starts[w] : starts[w + 1]], seed_colors
+                )
+
+    def test_step_cost_extremes_agree(self, monkeypatch):
+        matrix = _hub_matrix()
+        monkeypatch.setattr(edge_coloring, "STEP_COST", 0)
+        _, part, (all_rank, scalar_windows, rank_steps) = self._lanes(matrix)
+        sizes = np.diff(part.window_starts)
+        assert scalar_windows == 0
+        assert rank_steps == int(sizes.max())
+        monkeypatch.setattr(edge_coloring, "STEP_COST", 10**9)
+        _, _, (all_scalar, scalar_windows, rank_steps) = self._lanes(matrix)
+        assert scalar_windows == int((sizes > 0).sum())
+        assert rank_steps == 0
+        np.testing.assert_array_equal(all_scalar, all_rank)
+
+    def test_coloring_span_records_the_split(self):
+        tracer = obs.Tracer()
+        with obs.overridden(tracer):
+            GustScheduler(self.LENGTH).schedule(_hub_matrix())
+        (event,) = [e for e in tracer.events() if e["name"] == "compile.coloring"]
+        assert set(event["args"]) == {"scalar_windows", "rank_steps"}
+        assert event["args"]["scalar_windows"] >= 1
 
 
 class TestUncoloredConvention:
