@@ -17,9 +17,12 @@ schedule per dense column.  This module makes that amortization automatic:
   schedule outright (a *hit*).
 * A lookup with identical pattern but new values performs a *refresh*: the
   stored coloring, row permutation, and slot->entry join are reused, so
-  only the value scatter runs — O(nnz) fancy indexing, orders of magnitude
-  cheaper than rescheduling (``benchmarks/bench_scheduling_throughput.py``
-  demands >= 50x).
+  only O(nnz) value gathers run — orders of magnitude cheaper than
+  rescheduling (``benchmarks/bench_scheduling_throughput.py`` demands
+  >= 50x).  The refreshed schedule is a lazy ``CompactSchedule``: no dense
+  ``M_sch`` is built unless something reads it.  A caller that keeps a
+  pattern refreshes it by key instead (``refresh(pattern_key(...), data)``)
+  and skips the lookup's digest.
 * Anything else is a *miss*; the caller schedules cold and inserts.
 
 Persistent tier
@@ -65,10 +68,10 @@ from repro import obs as _obs
 from repro.analysis.runtime import validation_enabled
 from repro.core.load_balance import BalancedMatrix
 from repro.core.plan import ExecutionPlan
-from repro.core.schedule import Schedule
+from repro.core.schedule import CompactSchedule, Schedule
 from repro.core.scheduler import slot_value_sources
 from repro.core.store import DiskScheduleStore, store_key_from_digest
-from repro.errors import HardwareConfigError
+from repro.errors import HardwareConfigError, ScheduleError
 from repro.sparse.coo import CooMatrix, canonical_order
 
 
@@ -137,7 +140,7 @@ class _Entry:
     #: naive-policy stall count captured at scheduling time.
     stalls: int
     #: prepared executor compiled from the stored schedule; its values are
-    #: refreshed in lockstep with ``schedule.m_sch`` on value refreshes.
+    #: refreshed in lockstep with the schedule's on value refreshes.
     plan: ExecutionPlan | None = None
     #: balanced-order -> original-order permutation from a disk artifact.
     inv_order: np.ndarray | None = None
@@ -248,13 +251,16 @@ class ScheduleCache:
 
     # -- fingerprints -------------------------------------------------------
 
-    def _pattern_key(
+    def pattern_key(
         self,
         matrix: CooMatrix,
         length: int,
         algorithm: str,
         load_balance: bool,
-    ) -> bytes:  # guarded-by: _lock
+    ) -> bytes:
+        """The key of ``matrix``'s pattern under one scheduling
+        configuration: the :func:`pattern_digest`, memoized by the
+        identity of the index arrays."""
         memo_key = (
             id(matrix.rows),
             id(matrix.cols),
@@ -263,21 +269,22 @@ class ScheduleCache:
             algorithm,
             load_balance,
         )
-        memoized = self._digest_memo.get(memo_key)
-        if memoized is not None:
-            rows_ref, cols_ref, digest = memoized
-            if rows_ref() is matrix.rows and cols_ref() is matrix.cols:
-                self._digest_memo.move_to_end(memo_key)
-                return digest
-        digest = pattern_digest(matrix, length, algorithm, load_balance)
-        self._digest_memo[memo_key] = (
-            weakref.ref(matrix.rows),
-            weakref.ref(matrix.cols),
-            digest,
-        )
-        while len(self._digest_memo) > 4 * self.capacity:
-            self._digest_memo.popitem(last=False)
-        return digest
+        with self._lock:
+            memoized = self._digest_memo.get(memo_key)
+            if memoized is not None:
+                rows_ref, cols_ref, digest = memoized
+                if rows_ref() is matrix.rows and cols_ref() is matrix.cols:
+                    self._digest_memo.move_to_end(memo_key)
+                    return digest
+            digest = pattern_digest(matrix, length, algorithm, load_balance)
+            self._digest_memo[memo_key] = (
+                weakref.ref(matrix.rows),
+                weakref.ref(matrix.cols),
+                digest,
+            )
+            while len(self._digest_memo) > 4 * self.capacity:
+                self._digest_memo.popitem(last=False)
+            return digest
 
     # -- lookup / insert ----------------------------------------------------
 
@@ -299,11 +306,11 @@ class ScheduleCache:
         """
         started = _obs.monotonic()
         with self._lock:
-            key = self._pattern_key(matrix, length, algorithm, load_balance)
+            key = self.pattern_key(matrix, length, algorithm, load_balance)
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                served = self._serve(entry, matrix, from_disk=False)
+                served = self._serve(entry, matrix.data, from_disk=False)
                 self._observe_lookup("memory", started)
                 return served
 
@@ -316,7 +323,7 @@ class ScheduleCache:
                     self._disk_hits += 1
                     entry = self._entry_from_artifact(matrix, stored)
                     self._put(key, entry)
-                    served = self._serve(entry, matrix, from_disk=True)
+                    served = self._serve(entry, matrix.data, from_disk=True)
                     self._observe_lookup("disk", started)
                     return served
                 self._disk_misses += 1
@@ -324,6 +331,25 @@ class ScheduleCache:
             self._misses += 1
             self._observe_lookup("miss", started)
             return None
+
+    def refresh(self, key: bytes, data: np.ndarray) -> CacheLookup | None:
+        """:meth:`fetch` by :meth:`pattern_key`, for a caller that keeps the
+        pattern: ``data`` is the new value stream in the pattern's entry
+        order.  No canonicalization, no digest; ``None`` once the entry has
+        left memory (the caller then takes the :meth:`fetch` path)."""
+        started = _obs.monotonic()
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            if data.shape != entry.last_data.shape:
+                raise ScheduleError("value stream does not fit the pattern")
+            with _obs.span("cache.fetch", cat="cache") as span:
+                self._entries.move_to_end(key)
+                served = self._serve(entry, data, from_disk=False)
+                span.annotate(outcome="refresh" if served.refreshed else "hit")
+            self._observe_lookup("memory", started)
+            return served
 
     @staticmethod
     def _observe_lookup(tier: str, started: float) -> None:
@@ -336,14 +362,18 @@ class ScheduleCache:
         ).observe(_obs.monotonic() - started, tier=tier)
 
     def _serve(
-        self, entry: _Entry, matrix: CooMatrix, from_disk: bool
+        self, entry: _Entry, data: np.ndarray, from_disk: bool
     ) -> CacheLookup:  # guarded-by: _lock
-        """Serve one entry: verbatim hit, or in-place value refresh.
+        """Serve one entry for the original-order value stream ``data``:
+        verbatim hit, or in-place value refresh.
 
-        Caller (``fetch``) holds ``self._lock``, which also covers the
-        in-place mutation of ``entry``.
+        A refresh builds no dense array: its schedule is a
+        :class:`CompactSchedule` sharing the entry's slot coordinates that
+        gathers its slot values only if something reads ``m_sch``.  Caller
+        holds ``self._lock``, which also covers the in-place mutation of
+        ``entry``.
         """
-        if np.array_equal(matrix.data, entry.last_data):
+        if np.array_equal(data, entry.last_data):
             self._hits += 1
             return CacheLookup(
                 schedule=entry.schedule,
@@ -354,12 +384,13 @@ class ScheduleCache:
                 plan=entry.plan,
             )
 
-        # Same pattern, new values: rebuild the permuted value stream and
-        # scatter it into a fresh M_sch; index arrays are shared.
         self._refreshes += 1
         if entry.data_order is None:
-            entry.data_order = self._materialize_data_order(entry, matrix)
-        permuted_data = matrix.data[entry.data_order]
+            # Disk entries persist only the inverse permutation.
+            inv = entry.inv_order
+            entry.data_order = np.empty(inv.size, dtype=np.int64)
+            entry.data_order[inv] = np.arange(inv.size, dtype=np.int64)
+        permuted_data = data[entry.data_order]
         old = entry.balanced
         refreshed_matrix = CooMatrix(
             rows=old.matrix.rows,
@@ -372,18 +403,18 @@ class ScheduleCache:
             row_perm=old.row_perm,
             window_col_maps=old.window_col_maps,
         )
-        m_sch = np.zeros_like(entry.schedule.m_sch)
-        m_sch[entry.slot_steps, entry.slot_lanes] = permuted_data[
-            entry.slot_source
-        ]
-        schedule = Schedule(
-            length=entry.schedule.length,
-            shape=entry.schedule.shape,
-            m_sch=m_sch,
-            row_sch=entry.schedule.row_sch,
-            col_sch=entry.schedule.col_sch,
-            window_colors=entry.schedule.window_colors,
-        )
+        schedule = entry.schedule
+        if not isinstance(schedule, CompactSchedule):
+            # First refresh of a cold-compiled entry: keep its slots once.
+            # Disk loads and refreshes list theirs in slot-join order.
+            steps, lanes = entry.slot_steps, entry.slot_lanes
+            schedule = CompactSchedule(
+                schedule.length, schedule.shape, schedule.window_colors,
+                schedule.total_colors, steps * schedule.length + lanes,
+                schedule.row_sch[steps, lanes], schedule.col_sch[steps, lanes],
+                values=None,
+            )
+        schedule = schedule.with_values(permuted_data, entry.slot_source)
         entry.schedule = schedule
         entry.balanced = balanced
         if entry.plan is not None:
@@ -392,7 +423,7 @@ class ScheduleCache:
             entry.plan = entry.plan.with_values(permuted_data)
         # Snapshot, not alias: an in-place edit of the caller's data array
         # must read as "values changed" on the next lookup.
-        entry.last_data = matrix.data.copy()
+        entry.last_data = data.copy()
         return CacheLookup(
             schedule=schedule,
             balanced=balanced,
@@ -440,16 +471,6 @@ class ScheduleCache:
             inv_order=stored.inv_order,
         )
 
-    @staticmethod
-    def _materialize_data_order(entry: _Entry, matrix: CooMatrix) -> np.ndarray:
-        """Forward (original -> balanced) permutation for a lazy entry."""
-        inv = entry.inv_order
-        if inv is not None:
-            order = np.empty(inv.size, dtype=np.int64)
-            order[inv] = np.arange(inv.size, dtype=np.int64)
-            return order
-        return _balanced_order(matrix, entry.balanced)
-
     def _put(self, key: bytes, entry: _Entry) -> None:  # guarded-by: _lock
         """Install an entry at most-recent position, evicting over capacity."""
         self._entries[key] = entry
@@ -489,7 +510,7 @@ class ScheduleCache:
         if validation_enabled():
             plan.validate()
         with self._lock:
-            key = self._pattern_key(matrix, length, algorithm, load_balance)
+            key = self.pattern_key(matrix, length, algorithm, load_balance)
             self._put(
                 key,
                 _Entry(

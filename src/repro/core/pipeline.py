@@ -36,7 +36,7 @@ from repro.obs import trace as _trace
 from repro.core.backends import compile_plan
 from repro.core.backends.base import BackendCapabilities
 from repro.core.backends.scatter import scatter_matmat
-from repro.core.cache import ScheduleCache
+from repro.core.cache import CacheLookup, ScheduleCache
 from repro.core.compiled import CompiledSpmv, CompiledStats
 from repro.core.store import DiskScheduleStore
 from repro.core.load_balance import BalancedMatrix, LoadBalancer, identity_balance
@@ -259,22 +259,7 @@ class GustPipeline:
                 matrix, self.length, self.algorithm, self.load_balance
             )
         if cached is not None:
-            self.scheduler.last_stalls = cached.stalls
-            if cached.plan is not None:
-                self._memoize_plan(cached.schedule, cached.plan)
-            elapsed = _obs_clock.monotonic() - started
-            report = PreprocessReport(
-                seconds=elapsed,
-                windows=cached.schedule.window_count,
-                total_colors=cached.schedule.total_colors,
-                notes={
-                    "stalls": float(cached.stalls),
-                    "cache_hit": 0.0 if cached.refreshed else 1.0,
-                    "cache_refresh": 1.0 if cached.refreshed else 0.0,
-                    "disk_hit": 1.0 if cached.from_disk else 0.0,
-                },
-            )
-            return cached.schedule, cached.balanced, report
+            return self._served(cached, started)
         with _obs.phase("load_balance"):
             if self._balancer is not None:
                 balanced = self._balancer.balance(matrix)
@@ -314,6 +299,57 @@ class GustPipeline:
             notes=notes,
         )
         return schedule, balanced, report
+
+    def _served(
+        self, cached: CacheLookup, started: float
+    ) -> tuple[Schedule, BalancedMatrix, PreprocessReport]:
+        """The :meth:`preprocess` result for a lookup the cache served."""
+        self.scheduler.last_stalls = cached.stalls
+        if cached.plan is not None:
+            self._memoize_plan(cached.schedule, cached.plan)
+        report = PreprocessReport(
+            seconds=_obs_clock.monotonic() - started,
+            windows=cached.schedule.window_count,
+            total_colors=cached.schedule.total_colors,
+            notes={
+                "stalls": float(cached.stalls),
+                "cache_hit": 0.0 if cached.refreshed else 1.0,
+                "cache_refresh": 1.0 if cached.refreshed else 0.0,
+                "disk_hit": 1.0 if cached.from_disk else 0.0,
+            },
+        )
+        return cached.schedule, cached.balanced, report
+
+    def pattern_key(self, matrix: CooMatrix) -> bytes | None:
+        """``matrix``'s cache key under this pipeline's configuration, for
+        :meth:`refresh`; ``None`` without a cache."""
+        if self.cache is None:
+            return None
+        return self.cache.pattern_key(
+            matrix, self.length, self.algorithm, self.load_balance
+        )
+
+    def refresh(
+        self,
+        key: bytes,
+        data: np.ndarray,
+        require_bit_identical: bool | None = None,
+    ) -> CompiledSpmv | None:
+        """:meth:`compile` by :meth:`pattern_key`, for a pattern the caller
+        keeps: ``data`` holds the new values in the pattern's entry order.
+        ``None`` without a cache or once the entry has left it."""
+        if self.cache is None:
+            return None
+        started = _obs_clock.monotonic()
+        cached = self.cache.refresh(key, data)
+        if cached is None:
+            return None
+        schedule, balanced, report = self._served(cached, started)
+        handle = self.compile_schedule(
+            schedule, balanced, require_bit_identical=require_bit_identical
+        )
+        handle.stats.preprocess = report
+        return handle
 
     def preprocess_stats(
         self, matrix: CooMatrix

@@ -9,10 +9,14 @@ be viewed as a compressed storage format similar to the Coordinate format."
 We store them timestep-major — arrays of shape (C_total, l) — so timestep
 ``t`` is the contiguous slice fed to the multipliers at cycle ``t``.  Empty
 slots carry ``row == -1`` / ``col == -1`` / value 0.
+
+:class:`CompactSchedule` holds the occupied slots only and builds the
+dense triple on first read: disk loads and cache value refreshes make it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,3 +170,115 @@ class Schedule:
         global_rows = window_of_step[steps] * self.length + rows
         if global_rows.size and global_rows.max() >= m:
             raise ScheduleError("scheduled row beyond matrix height")
+
+
+class CompactSchedule(Schedule):
+    """A schedule held as its occupied slots: flat ``step * l + lane``
+    coordinates, their window-local rows and columns, and their values
+    (``values``, or ``values[value_source]`` gathered lazily).
+
+    The dense triple — several MB of mostly empty slots on large matrices,
+    which plan-based replay never reads — is built on first read (the
+    cycle-accurate machine, re-serialization, validation); ``nnz``,
+    ``total_colors`` and ``occupied_slots`` come from the compact form.
+    Behaviorally identical to an eager :class:`Schedule`.
+    """
+
+    def __init__(
+        self,
+        length: int,
+        shape: tuple[int, int],
+        window_colors: tuple[int, ...],
+        total: int,
+        flat: np.ndarray,
+        slot_rows: np.ndarray,
+        slot_cols: np.ndarray,
+        values: np.ndarray,
+        value_source: np.ndarray | None = None,
+    ):
+        # The dense fields are class-level properties (data descriptors),
+        # so the dataclass __init__ cannot be reused; set the scalar
+        # fields and the compact payload directly.
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "window_colors", window_colors)
+        object.__setattr__(self, "_total", total)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_slot_rows", slot_rows)
+        object.__setattr__(self, "_slot_cols", slot_cols)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_value_source", value_source)
+        object.__setattr__(self, "_dense", None)
+
+    def with_values(
+        self, values: np.ndarray, value_source: np.ndarray
+    ) -> "CompactSchedule":
+        """The same slots holding ``values[value_source]``, gathered lazily."""
+        refreshed = copy.copy(self)
+        refreshed.__dict__.update(
+            _values=values, _value_source=value_source, _dense=None
+        )
+        return refreshed
+
+    def _materialize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        dense = self._dense
+        if dense is None:
+            total, length = self._total, self.length
+            m_sch = np.zeros(total * length, dtype=np.float64)
+            row_sch = np.full(total * length, EMPTY, dtype=np.int64)
+            col_sch = np.full(total * length, EMPTY, dtype=np.int64)
+            if self._flat.size:
+                values = self._values
+                if self._value_source is not None:
+                    values = values[self._value_source]
+                try:
+                    m_sch[self._flat] = values
+                    row_sch[self._flat] = self._slot_rows
+                    col_sch[self._flat] = self._slot_cols
+                except IndexError as err:
+                    raise ScheduleError(
+                        "schedule holds out-of-range slot indices"
+                    ) from err
+            dense = (
+                m_sch.reshape(total, length),
+                row_sch.reshape(total, length),
+                col_sch.reshape(total, length),
+            )
+            object.__setattr__(self, "_dense", dense)
+        return dense
+
+    @property
+    def m_sch(self) -> np.ndarray:  # type: ignore[override]
+        return self._materialize()[0]
+
+    @property
+    def row_sch(self) -> np.ndarray:  # type: ignore[override]
+        return self._materialize()[1]
+
+    @property
+    def col_sch(self) -> np.ndarray:  # type: ignore[override]
+        return self._materialize()[2]
+
+    # Hot-path derived quantities, answered without materializing.
+
+    @property
+    def total_colors(self) -> int:
+        return int(self._total)
+
+    @property
+    def nnz(self) -> int:
+        return int(self._flat.size)
+
+    @property
+    def occupancy(self) -> float:
+        slots = self._total * self.length
+        return self.nnz / slots if slots else 0.0
+
+    def occupied_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        steps = self._flat // self.length
+        lanes = self._flat % self.length
+        global_rows = (
+            self.window_of_timestep()[steps] * self.length
+            + self._slot_rows.astype(np.int64)
+        )
+        return steps, lanes, global_rows

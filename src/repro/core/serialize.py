@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.core.load_balance import BalancedMatrix
 from repro.core.plan import ExecutionPlan
-from repro.core.schedule import EMPTY, Schedule
+from repro.core.schedule import EMPTY, CompactSchedule, Schedule
 from repro.core.scheduler import slot_value_sources
 from repro.errors import ScheduleError
 from repro.sparse.coo import CooMatrix
@@ -278,106 +278,6 @@ def _load_container(
     return scalars, arrays, int(version)
 
 
-class _CompactSchedule(Schedule):
-    """A loaded schedule whose dense arrays materialize on first touch.
-
-    The artifact's compact slot representation is all the replay engine
-    needs (the :class:`~repro.core.plan.ExecutionPlan` is built from it
-    directly), so the (C_total, l) ``M_sch``/``Row_sch``/``Col_sch``
-    triple — several MB of mostly empty slots on large matrices — is
-    rebuilt only when something actually reads it (the cycle-accurate
-    machine, a value-refresh scatter, re-serialization, validation).
-    Derived quantities used on the hot path (``nnz``, ``total_colors``,
-    ``occupied_slots``) are answered from the compact form without
-    materializing.  Behaviorally identical to an eager
-    :class:`Schedule`; only the allocation time moves.
-    """
-
-    def __init__(
-        self,
-        length: int,
-        shape: tuple[int, int],
-        window_colors: tuple[int, ...],
-        total: int,
-        flat: np.ndarray,
-        slot_values: np.ndarray,
-        slot_rows: np.ndarray,
-        slot_cols: np.ndarray,
-    ):
-        # The dense fields are class-level properties (data descriptors),
-        # so the dataclass __init__ cannot be reused; set the scalar
-        # fields and the compact payload directly.
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "window_colors", window_colors)
-        object.__setattr__(self, "_total", total)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_slot_values", slot_values)
-        object.__setattr__(self, "_slot_rows", slot_rows)
-        object.__setattr__(self, "_slot_cols", slot_cols)
-        object.__setattr__(self, "_dense", None)
-
-    def _materialize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        dense = self._dense
-        if dense is None:
-            total, length = self._total, self.length
-            m_sch = np.zeros(total * length, dtype=np.float64)
-            row_sch = np.full(total * length, EMPTY, dtype=np.int64)
-            col_sch = np.full(total * length, EMPTY, dtype=np.int64)
-            if self._slot_values.size:
-                try:
-                    m_sch[self._flat] = self._slot_values
-                    row_sch[self._flat] = self._slot_rows
-                    col_sch[self._flat] = self._slot_cols
-                except IndexError as err:
-                    raise ScheduleError(
-                        "schedule artifact holds out-of-range slot indices"
-                    ) from err
-            dense = (
-                m_sch.reshape(total, length),
-                row_sch.reshape(total, length),
-                col_sch.reshape(total, length),
-            )
-            object.__setattr__(self, "_dense", dense)
-        return dense
-
-    @property
-    def m_sch(self) -> np.ndarray:  # type: ignore[override]
-        return self._materialize()[0]
-
-    @property
-    def row_sch(self) -> np.ndarray:  # type: ignore[override]
-        return self._materialize()[1]
-
-    @property
-    def col_sch(self) -> np.ndarray:  # type: ignore[override]
-        return self._materialize()[2]
-
-    # Hot-path derived quantities, answered without materializing.
-
-    @property
-    def total_colors(self) -> int:
-        return int(self._total)
-
-    @property
-    def nnz(self) -> int:
-        return int(self._slot_values.size)
-
-    @property
-    def occupancy(self) -> float:
-        slots = self._total * self.length
-        return self.nnz / slots if slots else 0.0
-
-    def occupied_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        steps = self._flat // self.length
-        lanes = self._flat % self.length
-        global_rows = (
-            self.window_of_timestep()[steps] * self.length
-            + self._slot_rows.astype(np.int64)
-        )
-        return steps, lanes, global_rows
-
-
 def _check_range(name: str, arr: np.ndarray, lo: int, hi: int) -> None:
     """Bounds-check an index array before it drives any fancy indexing."""
     if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
@@ -569,7 +469,7 @@ def load_schedule_entry(
     # The dense Section 3.3 triple is *deferred*: the compact slot form
     # is everything the plan-based replay needs, so the (C_total, l)
     # arrays — mostly empty slots — rebuild lazily on first access
-    # (three O(nnz) scatters at that point; see :class:`_CompactSchedule`).
+    # (three O(nnz) scatters at that point; see :class:`CompactSchedule`).
     # The gathers below are shared with the execution-plan rebuild.
     slot_source = source.astype(np.intp)
     slot_values = data[slot_source] if nnz else data[:0]
@@ -579,15 +479,15 @@ def load_schedule_entry(
         if nnz
         else np.zeros(0, dtype=np.intp)
     )
-    schedule = _CompactSchedule(
+    schedule = CompactSchedule(
         length=length,
         shape=(m, n),
         window_colors=tuple(window_colors.tolist()),
         total=total,
         flat=flat,
-        slot_values=slot_values,
         slot_rows=slot_rows,
         slot_cols=slot_cols,
+        values=slot_values,
     )
 
     row_perm = arrays["row_perm"]

@@ -102,6 +102,53 @@ class TestCacheSemantics:
             pipeline.execute(schedule, balanced, x), square_matrix.matvec(x)
         )
 
+    def test_keyed_refresh_is_observed_like_fetch(self, square_matrix):
+        """``refresh`` by key records the ``cache.fetch`` span the
+        benchmark reads, the memory-tier lookup latency and the counter."""
+        from repro import obs
+
+        cache = ScheduleCache()
+        pipeline = GustPipeline(32, cache=cache)
+        pipeline.preprocess(square_matrix)
+        key = pipeline.pattern_key(square_matrix)
+        latency = obs.default_registry().histogram(
+            "gust_cache_lookup_seconds",
+            help="Schedule-cache lookup latency by resolving tier.",
+        )
+        before = latency.snapshot(tier="memory")["count"]
+        tracer = obs.Tracer()
+        with obs.overridden(tracer):
+            lookup = cache.refresh(key, square_matrix.data * 2.0)
+            again = cache.refresh(key, square_matrix.data * 2.0)
+        assert lookup.refreshed and not again.refreshed
+        outcomes = [
+            e["args"]["outcome"]
+            for e in tracer.events()
+            if e["name"] == "cache.fetch"
+        ]
+        assert outcomes == ["refresh", "hit"]
+        assert latency.snapshot(tier="memory")["count"] == before + 2
+        assert (cache.stats.refreshes, cache.stats.hits) == (1, 1)
+        cache.clear()
+        assert cache.refresh(key, square_matrix.data) is None
+        assert cache.stats.lookups == 3
+
+    def test_keyed_refresh_snapshots_values(self, square_matrix):
+        """An in-place edit of the array passed to ``refresh`` reads as
+        new values on the next keyed refresh, as it does for ``fetch``."""
+        pipeline = GustPipeline(32, cache=True)
+        pipeline.preprocess(square_matrix)
+        key = pipeline.pattern_key(square_matrix)
+        values = square_matrix.data * 3.0
+        assert pipeline.cache.refresh(key, values).refreshed
+        values *= 2.0
+        lookup = pipeline.cache.refresh(key, values)
+        assert lookup.refreshed
+        np.testing.assert_array_equal(
+            lookup.plan.values,
+            pipeline.cache.refresh(key, values.copy()).plan.values,
+        )
+
     def test_different_pattern_misses(self, square_matrix, small_matrix):
         pipeline = GustPipeline(32, cache=True)
         pipeline.preprocess(square_matrix)
@@ -289,3 +336,106 @@ class TestThreadSafety:
             thread.join()
         assert errors == []
         assert cache.stats.refreshes > 0
+
+
+def _frozen_eager_refresh(entry, data):
+    """The value refresh's dense rebuild as ``ScheduleCache._serve`` ran
+    it before refreshed schedules went compact: a fresh ``M_sch`` with the
+    permuted values scattered in, ``Row_sch``/``Col_sch`` shared."""
+    order = entry.data_order
+    if order is None:
+        order = np.empty(entry.inv_order.size, dtype=np.int64)
+        order[entry.inv_order] = np.arange(entry.inv_order.size)
+    permuted = data[order]
+    m_sch = np.zeros_like(entry.schedule.m_sch)
+    m_sch[entry.slot_steps, entry.slot_lanes] = permuted[entry.slot_source]
+    return m_sch, entry.schedule.row_sch, entry.schedule.col_sch
+
+
+class TestRefreshBuildsNoDenseArrays:
+    """A value refresh hands out a compact schedule and never builds
+    ``m_sch``/``row_sch``/``col_sch``; read later, they equal the eager
+    rebuild bit for bit."""
+
+    @pytest.fixture
+    def materialized(self, monkeypatch):
+        from repro.core.schedule import CompactSchedule
+
+        counts = []
+        original = CompactSchedule._materialize
+
+        def counted(schedule):
+            counts.append(schedule)
+            return original(schedule)
+
+        monkeypatch.setattr(CompactSchedule, "_materialize", counted)
+        return counts
+
+    @staticmethod
+    def _snapshot(cache, matrix):
+        import copy
+
+        key = cache.pattern_key(matrix, 32, "matching", True)
+        return copy.copy(cache._entries[key])
+
+    @staticmethod
+    def _check(schedule, snapshot, data, materialized):
+        from repro.core.schedule import CompactSchedule
+
+        assert isinstance(schedule, CompactSchedule)
+        assert materialized == []
+        for got, want in zip(
+            (schedule.m_sch, schedule.row_sch, schedule.col_sch),
+            _frozen_eager_refresh(snapshot, data),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        schedule.validate()
+
+    def test_memory_entry(self, square_matrix, rng, materialized):
+        cache = ScheduleCache()
+        pipeline = GustPipeline(32, cache=cache)
+        pipeline.preprocess(square_matrix)
+        for _ in range(2):
+            snapshot = self._snapshot(cache, square_matrix)
+            updated = square_matrix.with_data(
+                rng.uniform(1.0, 2.0, size=square_matrix.nnz)
+            )
+            del materialized[:]
+            schedule, _, report = pipeline.preprocess(updated)
+            assert report.notes["cache_refresh"] == 1.0
+            self._check(schedule, snapshot, updated.data, materialized)
+
+    @pytest.mark.usefixtures("no_faults")
+    def test_disk_loaded_entry(self, square_matrix, rng, tmp_path, materialized):
+        from repro import DiskScheduleStore
+
+        store = DiskScheduleStore(directory=tmp_path / "store")
+        GustPipeline(32, store=store).preprocess(square_matrix)
+        warm = GustPipeline(32, store=store)
+        _, _, report = warm.preprocess(square_matrix)
+        assert report.notes["disk_hit"] == 1.0
+        snapshot = self._snapshot(warm.cache, square_matrix)
+        updated = square_matrix.with_data(
+            rng.uniform(1.0, 2.0, size=square_matrix.nnz)
+        )
+        # A validating load (GUST_VALIDATE=1) reads the loaded schedule's
+        # dense arrays; only the refresh is under test.
+        del materialized[:]
+        schedule, _, report = warm.preprocess(updated)
+        assert report.notes["cache_refresh"] == 1.0
+        self._check(schedule, snapshot, updated.data, materialized)
+
+    def test_registry_reregister(self, square_matrix, rng, materialized):
+        from repro import MatrixRegistry
+
+        registry = MatrixRegistry(length=32)
+        registry.register("A", square_matrix)
+        snapshot = self._snapshot(registry.cache, square_matrix)
+        updated = square_matrix.with_data(
+            rng.uniform(1.0, 2.0, size=square_matrix.nnz)
+        )
+        del materialized[:]
+        entry = registry.register("A", updated, replace=True)
+        assert entry.preprocess.notes["cache_refresh"] == 1.0
+        self._check(entry.schedule, snapshot, updated.data, materialized)

@@ -1,5 +1,8 @@
 """Tests for the iterative solvers on GUST-scheduled operators."""
 
+import gc
+import importlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,143 @@ class TestJacobiOneSpmvPerSweep:
             )
             self._check(result, reference)
         assert pipeline.cache.stats.refreshes == 3
+
+    @staticmethod
+    def _stepped(matrix, step):
+        data = matrix.data.copy()
+        data[matrix.rows != matrix.cols] *= 1.0 + 0.05 * step
+        return matrix.with_data(data)
+
+    @staticmethod
+    def _spy_full_path(monkeypatch):
+        """Count the calls only the full path makes: the split's
+        canonicalization and the pattern digest."""
+        from repro.core import cache as cache_module
+        from repro.sparse import coo as coo_module
+
+        calls = {"from_arrays": 0, "canonical_order": 0, "digest": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            CooMatrix,
+            "from_arrays",
+            classmethod(
+                counted("from_arrays", CooMatrix.from_arrays.__func__)
+            ),
+        )
+        for module in (coo_module, cache_module):
+            monkeypatch.setattr(
+                module,
+                "canonical_order",
+                counted("canonical_order", module.canonical_order),
+            )
+        monkeypatch.setattr(
+            cache_module,
+            "pattern_digest",
+            counted("digest", cache_module.pattern_digest),
+        )
+        return calls
+
+    def test_five_steps_ride_the_keyed_refresh(self, rng, monkeypatch):
+        """After the first step, a step splits nothing, canonicalizes
+        nothing and digests nothing, and keeps the reference's bits."""
+        matrix = _spd_matrix(150, seed=11)
+        b = rng.normal(size=150)
+        steps = [self._stepped(matrix, step) for step in range(5)]
+        references = [
+            _two_spmv_jacobi(m, b, GustPipeline(32), 1e-10, 500) for m in steps
+        ]
+        pipeline = GustPipeline(32, cache=ScheduleCache())
+        first = jacobi(steps[0], b, pipeline=pipeline, tol=1e-10)
+        self._check(first, references[0])
+        calls = self._spy_full_path(monkeypatch)
+        for stepped, reference in zip(steps[1:], references[1:]):
+            result = jacobi(stepped, b, pipeline=pipeline, tol=1e-10)
+            self._check(result, reference)
+        assert calls == {"from_arrays": 0, "canonical_order": 0, "digest": 0}
+        stats = pipeline.cache.stats
+        assert (stats.misses, stats.refreshes) == (1, 4)
+
+    def test_in_place_edit_is_seen(self, rng):
+        matrix = _spd_matrix(120, seed=12)
+        b = rng.normal(size=120)
+        pipeline = GustPipeline(32, cache=ScheduleCache())
+        jacobi(matrix, b, pipeline=pipeline, tol=1e-10)
+        matrix.data[matrix.rows != matrix.cols] *= 0.5
+        result = jacobi(matrix, b, pipeline=pipeline, tol=1e-10)
+        self._check(
+            result, _two_spmv_jacobi(matrix, b, GustPipeline(32), 1e-10, 500)
+        )
+        assert pipeline.cache.stats.refreshes == 1
+
+    def test_fresh_index_arrays_take_the_full_path(self, rng, monkeypatch):
+        matrix = _spd_matrix(120, seed=13)
+        b = rng.normal(size=120)
+        pipeline = GustPipeline(32, cache=ScheduleCache())
+        first = jacobi(matrix, b, pipeline=pipeline, tol=1e-10)
+        calls = self._spy_full_path(monkeypatch)
+        twin = CooMatrix(
+            rows=matrix.rows.copy(),
+            cols=matrix.cols.copy(),
+            data=matrix.data.copy(),
+            shape=matrix.shape,
+        )
+        result = jacobi(twin, b, pipeline=pipeline, tol=1e-10)
+        assert calls["from_arrays"] == 1 and calls["digest"] == 1
+        assert calls["canonical_order"] >= 1
+        assert (result.x == first.x).all()
+        assert result.iterations == first.iterations
+        assert pipeline.cache.stats.hits == 1
+
+    def test_evicted_entry_falls_back_to_the_full_path(self, rng):
+        matrix = _spd_matrix(120, seed=14)
+        other = _spd_matrix(120, seed=15)
+        b = rng.normal(size=120)
+        pipeline = GustPipeline(32, cache=ScheduleCache(capacity=1))
+        jacobi(matrix, b, pipeline=pipeline, tol=1e-10)
+        jacobi(other, b, pipeline=pipeline, tol=1e-10)
+        stepped = self._stepped(matrix, 1)
+        result = jacobi(stepped, b, pipeline=pipeline, tol=1e-10)
+        self._check(
+            result, _two_spmv_jacobi(stepped, b, GustPipeline(32), 1e-10, 500)
+        )
+        stats = pipeline.cache.stats
+        assert (stats.misses, stats.refreshes, stats.evictions) == (3, 0, 2)
+
+    def test_explicit_zero_off_diagonal_takes_the_full_path(self, rng):
+        """``from_arrays`` drops an explicit zero, so ``R`` has another
+        pattern: the keyed refresh must not serve the old one."""
+        matrix = _spd_matrix(120, seed=16)
+        b = rng.normal(size=120)
+        pipeline = GustPipeline(32, cache=ScheduleCache())
+        jacobi(matrix, b, pipeline=pipeline, tol=1e-10)
+        data = matrix.data.copy()
+        data[np.flatnonzero(matrix.rows != matrix.cols)[7]] = 0.0
+        zeroed = CooMatrix(
+            rows=matrix.rows, cols=matrix.cols, data=data, shape=matrix.shape
+        )
+        result = jacobi(zeroed, b, pipeline=pipeline, tol=1e-10)
+        self._check(
+            result, _two_spmv_jacobi(zeroed, b, GustPipeline(32), 1e-10, 500)
+        )
+        assert pipeline.cache.stats.misses == 2
+
+    def test_split_memo_dies_with_the_index_arrays(self, rng):
+        splits = importlib.import_module("repro.solvers.jacobi")._SPLITS
+        pipeline = GustPipeline(16, cache=ScheduleCache())
+        for seed in range(50):
+            matrix = _spd_matrix(24, seed=100 + seed)
+            jacobi(matrix, rng.normal(size=24), pipeline=pipeline)
+        assert len(splits[pipeline]) >= 1
+        del matrix
+        gc.collect()
+        assert len(splits[pipeline]) == 0
 
     def test_spmv_count_when_not_converged(self, rng):
         matrix = _spd_matrix(80, seed=9)
