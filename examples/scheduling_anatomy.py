@@ -12,7 +12,7 @@ Run:  python examples/scheduling_anatomy.py
 import numpy as np
 
 from repro import CooMatrix, GustMachine, GustPipeline
-from repro.core.schedule import EMPTY
+from repro.core.schedule import EMPTY, Schedule
 from repro.errors import CollisionError
 from repro.eval.visualize import (
     degree_profile,
@@ -92,7 +92,7 @@ def main() -> None:
     bad_row_sch = schedule.row_sch.copy()
     occupied_lanes = np.nonzero(bad_row_sch[0] != EMPTY)[0]
     bad_row_sch[0, occupied_lanes[1]] = bad_row_sch[0, occupied_lanes[0]]
-    corrupted = type(schedule)(
+    corrupted = Schedule(
         length=schedule.length,
         shape=schedule.shape,
         m_sch=schedule.m_sch,

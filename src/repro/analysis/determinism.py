@@ -8,8 +8,10 @@ function of the input pattern.  Two classic ways to silently lose that:
 * ``np.sort`` / ``np.argsort`` (function or ``.argsort()`` method form)
   default to introsort, which is *unstable*: equal keys land in an
   arbitrary order that can change with numpy version, array layout, or
-  SIMD width.  Everything on the plan path already passes
-  ``kind="stable"``; this rule keeps it that way.  ``np.lexsort`` is
+  SIMD width.  Everything on the plan path passes ``kind="stable"`` or
+  calls :func:`repro.sparse.coo.stable_argsort` — the one sanctioned
+  route to an unstable sort, run only on keys made distinct by their
+  position — and this rule keeps it that way.  ``np.lexsort`` is
   deliberately **not** flagged: numpy guarantees it is stable (it is a
   sequence of mergesorts and accepts no ``kind=``), so flagging it
   would only breed no-op suppressions.

@@ -69,7 +69,6 @@ from repro.analysis.runtime import validation_enabled
 from repro.core.load_balance import BalancedMatrix
 from repro.core.plan import ExecutionPlan
 from repro.core.schedule import CompactSchedule, Schedule
-from repro.core.scheduler import slot_value_sources
 from repro.core.store import DiskScheduleStore, store_key_from_digest
 from repro.errors import HardwareConfigError, ScheduleError
 from repro.sparse.coo import CooMatrix, canonical_order
@@ -124,7 +123,7 @@ class CacheLookup:
 class _Entry:
     """One cached schedule plus the metadata needed for value refreshes."""
 
-    schedule: Schedule
+    schedule: CompactSchedule
     balanced: BalancedMatrix
     #: snapshot of the original-order value stream the stored schedule was
     #: built from (a copy, so in-place edits of the caller's array differ).
@@ -403,18 +402,7 @@ class ScheduleCache:
             row_perm=old.row_perm,
             window_col_maps=old.window_col_maps,
         )
-        schedule = entry.schedule
-        if not isinstance(schedule, CompactSchedule):
-            # First refresh of a cold-compiled entry: keep its slots once.
-            # Disk loads and refreshes list theirs in slot-join order.
-            steps, lanes = entry.slot_steps, entry.slot_lanes
-            schedule = CompactSchedule(
-                schedule.length, schedule.shape, schedule.window_colors,
-                schedule.total_colors, steps * schedule.length + lanes,
-                schedule.row_sch[steps, lanes], schedule.col_sch[steps, lanes],
-                values=None,
-            )
-        schedule = schedule.with_values(permuted_data, entry.slot_source)
+        schedule = entry.schedule.with_values(permuted_data, entry.slot_source)
         entry.schedule = schedule
         entry.balanced = balanced
         if entry.plan is not None:
@@ -485,25 +473,31 @@ class ScheduleCache:
         length: int,
         algorithm: str,
         load_balance: bool,
-        schedule: Schedule,
+        schedule: CompactSchedule,
         balanced: BalancedMatrix,
         stalls: int = 0,
     ) -> ExecutionPlan:
         """Store a cold-scheduled result for future hits/refreshes.
 
         ``matrix`` is the *original* (pre-permutation) operand the caller
-        scheduled; the entry records how its value stream maps into the
-        balanced order so refreshes can skip re-canonicalization.  The
-        prepared :class:`~repro.core.plan.ExecutionPlan` is compiled here
-        (and returned, so the scheduling pipeline can start replaying
+        scheduled and ``schedule`` the scheduler's result for ``balanced``.
+        Nothing is re-joined: the original -> balanced value order is the
+        balancer's ``entry_order`` (one canonical sort where it has none),
+        and each slot's coordinates and source are the schedule's own
+        ``flat``/``value_source``.  The prepared
+        :class:`~repro.core.plan.ExecutionPlan` is compiled here from those
+        slots (and returned, so the scheduling pipeline can start replaying
         immediately).  With a persistent tier attached, the result is also
         written through to disk — including the plan's sort order, so a
         warm start is replay-ready without re-sorting (skipped when the
         content-addressed artifact already exists; the coloring and plan
         structure it stores are value-independent).
         """
-        data_order = _balanced_order(matrix, balanced)
-        steps, lanes, source = slot_value_sources(schedule, balanced.matrix)
+        data_order = balanced.entry_order
+        if data_order is None:
+            data_order = _balanced_order(matrix, balanced)
+        steps, lanes = np.divmod(schedule.flat, schedule.length)
+        source = schedule.value_source
         plan = ExecutionPlan.from_schedule(
             schedule, row_perm=balanced.row_perm, slots=(steps, lanes, source)
         )

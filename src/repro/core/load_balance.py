@@ -21,11 +21,10 @@ the 4x4 matrix costs 7 cycles unbalanced and 5 balanced
 (``tests/core/test_load_balance.py``).
 
 All three steps are fully vectorized: steps 2-3 run as one global
-lexsort/run-length pass over every window at once, and
-:meth:`BalancedMatrix.colseg_of_all` resolves column-to-lane assignments
-for the whole matrix with a single ``searchsorted`` against a flattened
-(window, column) -> lane table, which the vectorized scheduling engine
-consumes directly.
+sort/run-length pass over every window at once, whose deal the scheduler
+takes per entry (:attr:`BalancedMatrix.entry_lanes`).  Matrices the
+balancer did not produce (disk loads, :func:`identity_balance`) resolve
+lanes with :meth:`BalancedMatrix.colseg_of_all` instead.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, canonical_order, stable_argsort
 from repro.sparse.stats import require_positive_length, window_count
 
 
@@ -51,11 +50,18 @@ class BalancedMatrix:
             ``columns`` is sorted ascending and ``lanes[k]`` is the
             multiplier assigned to ``columns[k]`` in that window.  Columns
             absent from the map default to ``col mod l``.
+        entry_order: ``matrix`` entry ``k`` is input entry
+            ``entry_order[k]``; ``None`` unless the balancer ran and kept
+            every entry (no duplicates summed, no zeros dropped).
+        entry_lanes: each ``matrix`` entry's lane (:meth:`colseg_of_all`
+            under the balancer's length); ``None`` unless the balancer ran.
     """
 
     matrix: CooMatrix
     row_perm: np.ndarray
     window_col_maps: list[tuple[np.ndarray, np.ndarray]]
+    entry_order: np.ndarray | None = None
+    entry_lanes: np.ndarray | None = None
 
     @cached_property
     def _flat_col_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -152,36 +158,52 @@ class LoadBalancer:
         # Step 1: stable-sort rows by nonzero count (descending), so heavy
         # rows share windows with other heavy rows.
         counts = matrix.row_counts()
-        order = np.argsort(-counts, kind="stable")
+        cmax = int(counts.max(initial=0))
+        order = stable_argsort(cmax - counts, cmax + 1)
         row_perm = np.empty(m, dtype=np.int64)
         row_perm[order] = np.arange(m, dtype=np.int64)
-        permuted = matrix.permute_rows(row_perm) if m else matrix
+        permuted, entry_order = matrix, None
+        if m:  # permute_rows, keeping the order of its one sort
+            rows = row_perm[matrix.rows]
+            entry_order = canonical_order(rows, matrix.cols, (m, n))
+            permuted = CooMatrix.from_arrays(
+                rows[entry_order],
+                matrix.cols[entry_order],
+                matrix.data[entry_order],
+                (m, n),
+            )
+            if permuted.nnz != matrix.nnz:
+                entry_order = None
 
         # Steps 2-3, every window at once: run-length encode the (window,
         # column) pairs, stable-sort each window's columns by descending
         # count, and deal them into lanes in snake order.
         windows = window_count(m, length)
-        maps = self._window_maps(permuted, windows, n)
+        maps, lanes = self._window_maps(permuted, windows, n)
 
         return BalancedMatrix(
-            matrix=permuted, row_perm=row_perm, window_col_maps=maps
+            matrix=permuted,
+            row_perm=row_perm,
+            window_col_maps=maps,
+            entry_order=entry_order,
+            entry_lanes=lanes,
         )
 
     def _window_maps(
         self, permuted: CooMatrix, windows: int, n: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Per-window column maps, and each entry's lane."""
         length = self.length
         empty = np.zeros(0, dtype=np.int64)
-        if windows == 0:
-            return []
         if permuted.nnz == 0:
-            return [(empty, empty) for _ in range(windows)]
+            return [(empty, empty) for _ in range(windows)], empty
 
         # Unique (window, column) pairs with counts.  The canonical COO
         # order is already sorted by (row, col); sorting its flat
         # window*n + col key groups duplicates of a column within a window.
         pair_key = (permuted.rows // length) * np.int64(n) + permuted.cols
-        sorted_key = np.sort(pair_key, kind="stable")
+        by_pair = stable_argsort(pair_key, windows * n)
+        sorted_key = pair_key[by_pair]
         firsts = np.empty(sorted_key.size, dtype=bool)
         firsts[0] = True
         np.not_equal(sorted_key[1:], sorted_key[:-1], out=firsts[1:])
@@ -202,13 +224,16 @@ class LoadBalancer:
         # per-window multiplicities, so window_starts delimits both orders.
         lanes = np.empty(by_load.size, dtype=np.int64)
         lanes[by_load] = lanes_dealt
-        return [
+        entry_lanes = np.empty(pair_key.size, dtype=np.int64)
+        entry_lanes[by_pair] = np.repeat(lanes, col_counts)
+        maps = [
             (
                 col_of_unique[window_starts[w] : window_starts[w + 1]],
                 lanes[window_starts[w] : window_starts[w + 1]],
             )
             for w in range(windows)
         ]
+        return maps, entry_lanes
 
 
 def _load_order(win_of_unique: np.ndarray, col_counts: np.ndarray) -> np.ndarray:
@@ -223,7 +248,7 @@ def _load_order(win_of_unique: np.ndarray, col_counts: np.ndarray) -> np.ndarray
     """
     cmax = int(col_counts.max())
     fused = win_of_unique * (cmax + 1) + (cmax - col_counts)
-    return np.argsort(fused, kind="stable")
+    return stable_argsort(fused, (int(win_of_unique[-1]) + 1) * (cmax + 1))
 
 
 def _snake_deal_ranks(ranks: np.ndarray, length: int) -> np.ndarray:

@@ -42,8 +42,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import CompactSchedule, Schedule
 from repro.errors import HardwareConfigError, ScheduleError
+from repro.sparse.coo import stable_argsort
 
 #: Element budget for the per-tile product temporary in
 #: :meth:`ExecutionPlan.execute_block` (~512 MB of float64 at the default);
@@ -100,45 +101,6 @@ class ExecutionPlan:
     )
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_components(
-        cls,
-        length: int,
-        shape: tuple[int, int],
-        global_rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        row_perm: np.ndarray,
-        value_source: np.ndarray | None = None,
-        order: np.ndarray | None = None,
-    ) -> "ExecutionPlan":
-        """Compile a plan from flat occupied-slot arrays.
-
-        ``global_rows`` / ``cols`` / ``values`` are aligned per-slot arrays
-        in the schedule's canonical (step, lane) order; ``order`` is an
-        optional precomputed stable row sort (as persisted in artifacts) —
-        derived here when omitted.  ``value_source`` indexes the
-        balanced-order data stream per slot (pre-sort order) and unlocks
-        :meth:`with_values`.
-        """
-        if order is None:
-            order = np.argsort(global_rows, kind="stable")
-        order = np.ascontiguousarray(order, dtype=np.intp)
-        return cls.from_sorted(
-            length=length,
-            shape=shape,
-            values=np.asarray(values, dtype=np.float64)[order],
-            sources=np.asarray(cols)[order],
-            rows=np.asarray(global_rows)[order],
-            slot_order=order,
-            row_perm=row_perm,
-            value_source=(
-                np.asarray(value_source)[order]
-                if value_source is not None
-                else None
-            ),
-        )
 
     @classmethod
     def from_sorted(
@@ -202,38 +164,47 @@ class ExecutionPlan:
     ) -> "ExecutionPlan":
         """Compile a plan from a schedule (and optionally its slot join).
 
+        A :class:`~repro.core.schedule.CompactSchedule` compiles from its
+        slot arrays without reading a dense array.  The stable row sort is
+        one sort on (destination row, listing position), which is the
+        (row, step) order: a row's slots are listed in step order.
+
         Args:
             schedule: the schedule to prepare.
             row_perm: the balancer's row permutation; identity when omitted.
             slots: precomputed ``(steps, lanes, source)`` occupied-slot join
-                (as from :func:`~repro.core.scheduler.slot_value_sources`).
-                When given, ``source`` is retained as :attr:`value_source`
-                so the plan supports O(nnz) value refreshes; the dense
-                ``np.nonzero`` pass is skipped either way after compile.
+                in :meth:`~repro.core.schedule.Schedule.occupied_slots`
+                order (as from :func:`~repro.core.scheduler.
+                slot_value_sources`).  When given, ``source`` is retained
+                as :attr:`value_source` so the plan supports O(nnz) value
+                refreshes.
         """
-        if slots is not None:
-            steps, lanes, source = slots
-            steps = np.ascontiguousarray(steps, dtype=np.intp)
-            lanes = np.ascontiguousarray(lanes, dtype=np.intp)
-            window_of_step = schedule.window_of_timestep()
-            global_rows = (
-                window_of_step[steps] * schedule.length
-                + schedule.row_sch[steps, lanes]
-            )
+        if isinstance(schedule, CompactSchedule):
+            _, _, global_rows = schedule.occupied_slots()
+            cols, values = schedule.slot_cols, schedule.slot_values()
         else:
-            steps, lanes, global_rows = schedule.occupied_slots()
-            source = None
+            if slots is None:
+                steps, lanes, global_rows = schedule.occupied_slots()
+            else:
+                steps = np.ascontiguousarray(slots[0], dtype=np.intp)
+                lanes = np.ascontiguousarray(slots[1], dtype=np.intp)
+                global_rows = (
+                    schedule.window_of_timestep()[steps] * schedule.length
+                    + schedule.row_sch[steps, lanes]
+                )
+            cols = schedule.col_sch[steps, lanes]
+            values = schedule.m_sch[steps, lanes]
         m = schedule.shape[0]
-        if row_perm is None:
-            row_perm = np.arange(m, dtype=np.intp)
-        return cls.from_components(
+        order = stable_argsort(global_rows, m)
+        return cls.from_sorted(
             length=schedule.length,
             shape=schedule.shape,
-            global_rows=global_rows,
-            cols=schedule.col_sch[steps, lanes],
-            values=schedule.m_sch[steps, lanes],
-            row_perm=row_perm,
-            value_source=source,
+            values=np.asarray(values, dtype=np.float64)[order],
+            sources=np.asarray(cols)[order],
+            rows=np.asarray(global_rows)[order],
+            slot_order=order,
+            row_perm=np.arange(m, dtype=np.intp) if row_perm is None else row_perm,
+            value_source=None if slots is None else np.asarray(slots[2])[order],
         )
 
     # -- sizes ---------------------------------------------------------------

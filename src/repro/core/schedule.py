@@ -11,7 +11,9 @@ We store them timestep-major — arrays of shape (C_total, l) — so timestep
 slots carry ``row == -1`` / ``col == -1`` / value 0.
 
 :class:`CompactSchedule` holds the occupied slots only and builds the
-dense triple on first read: disk loads and cache value refreshes make it.
+dense triple on first read.  It is the one form every producer hands out:
+the scheduler (straight from the per-edge colors), disk loads and cache
+value refreshes.
 """
 
 from __future__ import annotations
@@ -174,14 +176,18 @@ class Schedule:
 
 class CompactSchedule(Schedule):
     """A schedule held as its occupied slots: flat ``step * l + lane``
-    coordinates, their window-local rows and columns, and their values
-    (``values``, or ``values[value_source]`` gathered lazily).
+    coordinates (``flat``), their window-local rows and columns
+    (``slot_rows``/``slot_cols``), and their values (``values``, or
+    ``values[value_source]`` gathered lazily).
 
-    The dense triple — several MB of mostly empty slots on large matrices,
-    which plan-based replay never reads — is built on first read (the
-    cycle-accurate machine, re-serialization, validation); ``nnz``,
-    ``total_colors`` and ``occupied_slots`` come from the compact form.
-    Behaviorally identical to an eager :class:`Schedule`.
+    The scheduler lists the slots in slot order, ``value_source[k]``
+    being the balanced-matrix entry in slot ``k``; a disk load lists them
+    in execution-plan order.  The dense triple — several MB of
+    mostly empty slots on large matrices, which plan-based replay never
+    reads — is built on first read (the cycle-accurate machine, the eval
+    models, re-serialization, validation); ``nnz``, ``total_colors`` and
+    ``occupied_slots`` come from the compact form.  Behaviorally identical
+    to an eager :class:`Schedule`.
     """
 
     def __init__(
@@ -203,11 +209,11 @@ class CompactSchedule(Schedule):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "window_colors", window_colors)
         object.__setattr__(self, "_total", total)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_slot_rows", slot_rows)
-        object.__setattr__(self, "_slot_cols", slot_cols)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_value_source", value_source)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "slot_rows", slot_rows)
+        object.__setattr__(self, "slot_cols", slot_cols)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "value_source", value_source)
         object.__setattr__(self, "_dense", None)
 
     def with_values(
@@ -216,25 +222,29 @@ class CompactSchedule(Schedule):
         """The same slots holding ``values[value_source]``, gathered lazily."""
         refreshed = copy.copy(self)
         refreshed.__dict__.update(
-            _values=values, _value_source=value_source, _dense=None
+            values=values, value_source=value_source, _dense=None
         )
         return refreshed
 
+    def slot_values(self) -> np.ndarray:
+        """Each listed slot's value."""
+        if self.value_source is None:
+            return self.values
+        return self.values[self.value_source]
+
     def _materialize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Listing 2: scatter the slots into M_sch / Row_sch / Col_sch."""
         dense = self._dense
         if dense is None:
             total, length = self._total, self.length
             m_sch = np.zeros(total * length, dtype=np.float64)
             row_sch = np.full(total * length, EMPTY, dtype=np.int64)
             col_sch = np.full(total * length, EMPTY, dtype=np.int64)
-            if self._flat.size:
-                values = self._values
-                if self._value_source is not None:
-                    values = values[self._value_source]
+            if self.flat.size:
                 try:
-                    m_sch[self._flat] = values
-                    row_sch[self._flat] = self._slot_rows
-                    col_sch[self._flat] = self._slot_cols
+                    m_sch[self.flat] = self.slot_values()
+                    row_sch[self.flat] = self.slot_rows
+                    col_sch[self.flat] = self.slot_cols
                 except IndexError as err:
                     raise ScheduleError(
                         "schedule holds out-of-range slot indices"
@@ -267,7 +277,7 @@ class CompactSchedule(Schedule):
 
     @property
     def nnz(self) -> int:
-        return int(self._flat.size)
+        return int(self.flat.size)
 
     @property
     def occupancy(self) -> float:
@@ -275,10 +285,9 @@ class CompactSchedule(Schedule):
         return self.nnz / slots if slots else 0.0
 
     def occupied_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        steps = self._flat // self.length
-        lanes = self._flat % self.length
+        steps, lanes = np.divmod(self.flat, self.length)
         global_rows = (
             self.window_of_timestep()[steps] * self.length
-            + self._slot_rows.astype(np.int64)
+            + self.slot_rows.astype(np.int64)
         )
         return steps, lanes, global_rows

@@ -2,8 +2,9 @@
 
 Implements Section 3.3's "GUST Scheduling Algorithm": the matrix is split
 into ceil(m/l) windows of ``l`` rows; each window becomes a bipartite
-multigraph that an edge-coloring algorithm assigns buffer slots to; Listing 2
-then scatters values and indices into M_sch / Row_sch / Col_sch.
+multigraph that an edge-coloring algorithm assigns buffer slots to; the
+colored edges, listed in slot order, are the schedule (Listing 2's
+M_sch / Row_sch / Col_sch are built from them only where read).
 
 Vectorized batch engine
 -----------------------
@@ -15,9 +16,11 @@ therefore avoids every per-window Python pass over the nonzeros:
 * **Partition** — the canonical COO order is already sorted by row, so one
   ``searchsorted`` against the window boundaries partitions the flat edge
   arrays into per-window slices (replacing the former O(windows x nnz)
-  boolean-mask loop), and
-  :meth:`~repro.core.load_balance.BalancedMatrix.colseg_of_all` resolves
-  every edge's multiplier lane in a single binary search.
+  boolean-mask loop); every edge's multiplier lane is the one the load
+  balancer dealt it (:attr:`~repro.core.load_balance.BalancedMatrix.
+  entry_lanes`), or one binary search of
+  :meth:`~repro.core.load_balance.BalancedMatrix.colseg_of_all` where
+  the balancer did not run.
 * **Coloring** — every built-in policy runs through a flat NumPy kernel
   that colors *all windows simultaneously* (windows are independent, so
   only the semantically sequential dimension of each algorithm remains a
@@ -33,8 +36,12 @@ therefore avoids every per-window Python pass over the nonzeros:
   self-contained partitions of the same flat kernels, so the merged color
   array — and therefore every downstream artifact (schedule, serialized
   bytes, cache/store keys) — is identical to the single-process result.
-* **Scatter** — Listing 2's fill of M_sch/Row_sch/Col_sch is one fancy-
-  indexed assignment: timestep = window offset + edge color.
+* **Slots** — no dense scatter: each edge's flat slot is
+  ``(window offset + color) * l + lane``, and one sort of those distinct
+  keys lists the edges in slot order.  That permutation is the
+  :class:`~repro.core.schedule.CompactSchedule`'s ``value_source``, which
+  the cache, the plan and the artifact reuse instead of re-joining slots
+  to entries.
 * **Value reuse** — :meth:`GustScheduler.reschedule_values` refreshes a
   schedule for a same-pattern matrix via a ``searchsorted`` join on
   (row, col) keys instead of a per-nonzero Python dict.
@@ -57,13 +64,13 @@ from repro import faults as _faults
 from repro import obs as _obs
 from repro.core.load_balance import BalancedMatrix, identity_balance
 from repro.core.naive import naive_coloring_flat, naive_stalls_flat
-from repro.core.schedule import EMPTY, Schedule
+from repro.core.schedule import CompactSchedule, Schedule
 from repro.errors import ColoringError
 from repro.graph.bipartite import WindowGraph
 from repro.graph.edge_coloring import ALGORITHMS as _COLORING_ALGORITHMS
 from repro.graph.edge_coloring import euler_coloring_flat, first_fit_lanes
 from repro.graph.properties import validate_coloring
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, stable_argsort
 from repro.sparse.stats import require_positive_length, window_count
 
 #: Scheduling policies: the paper's greedy matching (default), the fast
@@ -211,7 +218,7 @@ class GustScheduler:
         colors = self._color_flat(balanced, partition)
         return [int(c) for c in self._counts(partition, colors)]
 
-    def schedule_balanced(self, balanced: BalancedMatrix) -> Schedule:
+    def schedule_balanced(self, balanced: BalancedMatrix) -> CompactSchedule:
         """Schedule a load-balanced matrix (the EC/LB configuration)."""
         matrix = balanced.matrix
         length = self.length
@@ -224,29 +231,27 @@ class GustScheduler:
             counts = self._counts(partition, colors)
             coloring.annotate(**self._lanes)
 
-        # Listing 2 as one scatter: timestep = window offset + edge color.
+        # Each edge's slot: timestep = window offset + edge color.  The
+        # flat slots are distinct, so one sort lists the edges in slot
+        # order, and that permutation is the schedule's value source.
         with _obs.phase("scatter"):
             total = int(counts.sum())
-            m_sch = np.zeros((total, length), dtype=np.float64)
-            row_sch = np.full((total, length), EMPTY, dtype=np.int64)
-            col_sch = np.full((total, length), EMPTY, dtype=np.int64)
-            if matrix.nnz:
-                offsets = np.concatenate(
-                    ([0], np.cumsum(counts[:-1], dtype=np.int64))
-                )
-                steps = offsets[partition.window_ids] + colors
-                lanes = partition.colsegs
-                m_sch[steps, lanes] = matrix.data
-                row_sch[steps, lanes] = partition.local_rows
-                col_sch[steps, lanes] = matrix.cols
-
-        schedule = Schedule(
+            offsets = np.zeros(partition.windows, dtype=np.int64)
+            np.cumsum(counts[:-1], out=offsets[1:])
+            flat = offsets[partition.window_ids] + colors
+            flat *= length
+            flat += partition.colsegs
+            source = stable_argsort(flat, total * length)
+        schedule = CompactSchedule(
             length=length,
             shape=(m, n),
-            m_sch=m_sch,
-            row_sch=row_sch,
-            col_sch=col_sch,
             window_colors=tuple(int(c) for c in counts),
+            total=total,
+            flat=flat[source],
+            slot_rows=partition.local_rows[source],
+            slot_cols=matrix.cols[source],
+            values=matrix.data,
+            value_source=source,
         )
         if self.validate:
             schedule.validate()
@@ -300,7 +305,9 @@ class GustScheduler:
                 rows, np.arange(windows + 1, dtype=np.int64) * length
             )
             local_rows = rows % length
-            colsegs = balanced.colseg_of_all(window_ids, matrix.cols, length)
+            colsegs = balanced.entry_lanes
+            if colsegs is None:
+                colsegs = balanced.colseg_of_all(window_ids, matrix.cols, length)
         else:
             window_ids = np.zeros(0, dtype=np.int64)
             window_starts = np.zeros(windows + 1, dtype=np.int64)

@@ -217,18 +217,37 @@ def canonical_order(
 
     Equal to ``np.lexsort((cols, rows))``.  The two keys are fused into one
     ``row * n + col`` integer, which is bijective and monotone in (row, col)
-    for in-range indices, and sorted with a stable argsort: timsort is
-    linear on input that is already canonical (an off-diagonal split, a
-    re-canonicalized pattern), where ``np.lexsort`` always pays two full
-    passes.  Where ``m * n`` would overflow the int64 key, the choice falls
-    back to ``np.lexsort``; it depends on ``shape`` alone.
+    for in-range indices, and sorted by :func:`stable_argsort`, where
+    ``np.lexsort`` always pays two full passes.  Where ``m * n`` would
+    overflow the int64 key, the choice falls back to ``np.lexsort``; it
+    depends on ``shape`` alone.
     """
     m, n = int(shape[0]), int(shape[1])
     if m * n >= 2**63:
         return np.lexsort((cols, rows))
     keys = np.asarray(rows, dtype=np.int64) * np.int64(n)
     keys += np.asarray(cols, dtype=np.int64)
-    return np.argsort(keys, kind="stable")
+    return stable_argsort(keys, m * n)
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Sorted keys return ``arange`` after one comparison pass.  Otherwise,
+    while ``bound * size`` fits int64, the sort runs on ``key * size +
+    index``: distinct keys have exactly one sorting permutation, the
+    stable one, so NumPy's default SIMD argsort (~5x faster than the
+    timsort behind ``kind="stable"``) finds it.  Larger inputs fall back.
+    """
+    keys = np.asarray(keys)
+    size = keys.size
+    if size < 2 or not (keys[1:] < keys[:-1]).any():
+        return np.arange(size, dtype=np.intp)
+    if int(bound) * size >= 2**63:
+        return np.argsort(keys, kind="stable")
+    fused = keys.astype(np.int64, copy=False) * np.int64(size)
+    fused += np.arange(size, dtype=np.int64)
+    return np.argsort(fused)
 
 
 def _is_permutation(perm: np.ndarray, size: int) -> bool:

@@ -426,6 +426,31 @@ class TestRefreshBuildsNoDenseArrays:
         assert report.notes["cache_refresh"] == 1.0
         self._check(schedule, snapshot, updated.data, materialized)
 
+    @pytest.mark.usefixtures("no_faults")
+    def test_cold_compile_through_store(
+        self, square_matrix, rng, tmp_path, materialized, monkeypatch
+    ):
+        """A cold compile builds its plan, entry and artifact from the
+        schedule's slots: no dense array and no slot join."""
+        from repro import DiskScheduleStore
+        from repro.core import cache, scheduler, serialize
+
+        def no_join(*args):
+            raise AssertionError("slot join on the cold path")
+
+        for module in (cache, scheduler, serialize):
+            monkeypatch.setattr(
+                module, "slot_value_sources", no_join, raising=False
+            )
+        store = DiskScheduleStore(directory=tmp_path / "store")
+        handle = GustPipeline(32, store=store).compile(square_matrix)
+        assert handle.stats.preprocess.notes["cache_hit"] == 0.0
+        assert store.stats.writes == 1
+        assert materialized == []
+        x = rng.normal(size=square_matrix.shape[1])
+        np.testing.assert_allclose(handle.matvec(x), square_matrix.matvec(x))
+        assert materialized == []
+
     def test_registry_reregister(self, square_matrix, rng, materialized):
         from repro import MatrixRegistry
 

@@ -1,4 +1,5 @@
-"""Property tests pinning ``canonical_order`` to the ``np.lexsort`` form."""
+"""Property tests pinning ``canonical_order`` to the ``np.lexsort`` form
+and ``stable_argsort`` to ``np.argsort(kind="stable")``."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CooMatrix
-from repro.sparse.coo import canonical_order
+from repro.sparse.coo import canonical_order, stable_argsort
 
 
 def _lexsort_order(rows, cols):
@@ -100,6 +101,53 @@ class TestCanonicalOrder:
         rows, cols = rows[perm], cols[perm]
         np.testing.assert_array_equal(
             canonical_order(rows, cols, shape), _lexsort_order(rows, cols)
+        )
+
+
+@st.composite
+def bounded_keys(draw, max_size=300):
+    """Integer keys below a bound: shuffled, presorted or duplicate-heavy,
+    with the bound anywhere from tiny to past the fused-key limit."""
+    bound = draw(
+        st.one_of(st.integers(1, 8), st.integers(1, 2**20), st.just(2**62))
+    )
+    size = draw(st.integers(0, max_size))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, bound, size, dtype=np.int64)
+    shape = draw(st.sampled_from(["shuffled", "presorted", "reversed"]))
+    if shape == "presorted":
+        keys = np.sort(keys, kind="stable")
+    elif shape == "reversed":
+        keys = np.sort(keys, kind="stable")[::-1].copy()
+    return keys, bound
+
+
+class TestStableArgsort:
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_keys())
+    def test_matches_stable_argsort(self, case):
+        keys, bound = case
+        got = stable_argsort(keys, bound)
+        want = np.argsort(keys, kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "bound", [2**40, 2**60], ids=["fused", "past-fused-limit"]
+    )
+    def test_duplicate_heavy_large_input(self, bound, rng):
+        """Few distinct keys among many: ties must keep input order."""
+        values = rng.integers(0, bound, 5, dtype=np.int64)
+        keys = values[rng.integers(0, 5, 20_000)]
+        np.testing.assert_array_equal(
+            stable_argsort(keys, bound), np.argsort(keys, kind="stable")
+        )
+
+    def test_presorted_returns_arange(self, rng):
+        keys = np.sort(rng.integers(0, 10, 1000))
+        np.testing.assert_array_equal(
+            stable_argsort(keys, 10), np.arange(keys.size)
         )
 
 
