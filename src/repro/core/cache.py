@@ -132,9 +132,7 @@ class _Entry:
     #: ``None`` for entries faulted in from a disk artifact (which persists
     #: only the inverse); materialized lazily on the first value refresh.
     data_order: np.ndarray | None
-    #: occupied slot coordinates and their balanced-data source indices.
-    slot_steps: np.ndarray
-    slot_lanes: np.ndarray
+    #: each listed slot's balanced-data source index.
     slot_source: np.ndarray
     #: naive-policy stall count captured at scheduling time.
     stalls: int
@@ -451,8 +449,6 @@ class ScheduleCache:
             balanced=balanced,
             last_data=artifact_data,
             data_order=data_order,
-            slot_steps=stored.slot_steps,
-            slot_lanes=stored.slot_lanes,
             slot_source=stored.slot_source,
             stalls=stored.stalls,
             plan=stored.plan,
@@ -484,7 +480,7 @@ class ScheduleCache:
         Nothing is re-joined: the original -> balanced value order is the
         balancer's ``entry_order`` (one canonical sort where it has none),
         and each slot's coordinates and source are the schedule's own
-        ``flat``/``value_source``.  The prepared
+        :meth:`~repro.core.schedule.CompactSchedule.slots`.  The prepared
         :class:`~repro.core.plan.ExecutionPlan` is compiled here from those
         slots (and returned, so the scheduling pipeline can start replaying
         immediately).  With a persistent tier attached, the result is also
@@ -496,10 +492,9 @@ class ScheduleCache:
         data_order = balanced.entry_order
         if data_order is None:
             data_order = _balanced_order(matrix, balanced)
-        steps, lanes = np.divmod(schedule.flat, schedule.length)
-        source = schedule.value_source
+        slots = schedule.slots()
         plan = ExecutionPlan.from_schedule(
-            schedule, row_perm=balanced.row_perm, slots=(steps, lanes, source)
+            schedule, row_perm=balanced.row_perm, slots=slots
         )
         if validation_enabled():
             plan.validate()
@@ -512,9 +507,7 @@ class ScheduleCache:
                     balanced=balanced,
                     last_data=matrix.data.copy(),
                     data_order=data_order,
-                    slot_steps=steps,
-                    slot_lanes=lanes,
-                    slot_source=source,
+                    slot_source=schedule.value_source,
                     stalls=stalls,
                     plan=plan,
                 ),
@@ -527,7 +520,7 @@ class ScheduleCache:
                         schedule,
                         balanced,
                         stalls=stalls,
-                        slots=(steps, lanes, source),
+                        slots=slots,
                         data_order=data_order,
                         plan_order=plan.slot_order,
                     )

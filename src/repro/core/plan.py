@@ -174,24 +174,22 @@ class ExecutionPlan:
             row_perm: the balancer's row permutation; identity when omitted.
             slots: precomputed ``(steps, lanes, source)`` occupied-slot join
                 in :meth:`~repro.core.schedule.Schedule.occupied_slots`
-                order (as from :func:`~repro.core.scheduler.
-                slot_value_sources`).  When given, ``source`` is retained
-                as :attr:`value_source` so the plan supports O(nnz) value
-                refreshes.
+                order (as from :meth:`~repro.core.schedule.CompactSchedule.
+                slots` or :func:`~repro.core.scheduler.slot_value_sources`).
+                When given, ``source`` is retained as :attr:`value_source`
+                so the plan supports O(nnz) value refreshes.
         """
-        if isinstance(schedule, CompactSchedule):
-            _, _, global_rows = schedule.occupied_slots()
+        compact = isinstance(schedule, CompactSchedule)
+        if slots is None:
+            steps, lanes, global_rows = schedule.occupied_slots()
+        else:
+            steps, lanes, _ = slots
+            local = schedule.slot_rows if compact else schedule.row_sch[steps, lanes]
+            global_rows = schedule.window_of_timestep()[steps] * schedule.length
+            global_rows += local
+        if compact:
             cols, values = schedule.slot_cols, schedule.slot_values()
         else:
-            if slots is None:
-                steps, lanes, global_rows = schedule.occupied_slots()
-            else:
-                steps = np.ascontiguousarray(slots[0], dtype=np.intp)
-                lanes = np.ascontiguousarray(slots[1], dtype=np.intp)
-                global_rows = (
-                    schedule.window_of_timestep()[steps] * schedule.length
-                    + schedule.row_sch[steps, lanes]
-                )
             cols = schedule.col_sch[steps, lanes]
             values = schedule.m_sch[steps, lanes]
         m = schedule.shape[0]

@@ -284,6 +284,14 @@ class CompactSchedule(Schedule):
         slots = self._total * self.length
         return self.nnz / slots if slots else 0.0
 
+    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The slot join ``(steps, lanes, source)`` in listing order, or
+        ``None`` when the slots carry no value source (a disk load)."""
+        if self.value_source is None:
+            return None
+        steps, lanes = np.divmod(self.flat, self.length)
+        return steps, lanes, self.value_source
+
     def occupied_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         steps, lanes = np.divmod(self.flat, self.length)
         global_rows = (

@@ -250,7 +250,8 @@ class GustScheduler:
             flat=flat[source],
             slot_rows=partition.local_rows[source],
             slot_cols=matrix.cols[source],
-            values=matrix.data,
+            # A snapshot: without load balancing this is the caller's array.
+            values=matrix.data.copy(),
             value_source=source,
         )
         if self.validate:

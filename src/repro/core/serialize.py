@@ -304,7 +304,9 @@ def save_schedule(
         stalls: naive-policy stall count to carry alongside the schedule.
         slots: precomputed ``(steps, lanes, source)`` occupied-slot join
             (as from :func:`~repro.core.scheduler.slot_value_sources`);
-            computed here when omitted.
+            when omitted, a compact schedule's own
+            :meth:`~repro.core.schedule.CompactSchedule.slots`, else
+            joined here.
         data_order: optional original-order -> balanced-order value
             permutation, persisted so the cache tier can warm-start
             without re-sorting.
@@ -317,10 +319,11 @@ def save_schedule(
             dense rebuild already performs, with no sort and no extra
             payload member.
     """
+    if slots is None and isinstance(schedule, CompactSchedule):
+        slots = schedule.slots()
     if slots is None:
-        steps, lanes, source = slot_value_sources(schedule, balanced.matrix)
-    else:
-        steps, lanes, source = slots
+        slots = slot_value_sources(schedule, balanced.matrix)
+    steps, lanes, source = slots
     source = np.asarray(source, dtype=np.intp)
     if plan_order is None:
         # The slots' global destination rows are the balanced matrix rows

@@ -348,7 +348,8 @@ def _frozen_eager_refresh(entry, data):
         order[entry.inv_order] = np.arange(entry.inv_order.size)
     permuted = data[order]
     m_sch = np.zeros_like(entry.schedule.m_sch)
-    m_sch[entry.slot_steps, entry.slot_lanes] = permuted[entry.slot_source]
+    steps, lanes = np.divmod(entry.schedule.flat, entry.schedule.length)
+    m_sch[steps, lanes] = permuted[entry.slot_source]
     return m_sch, entry.schedule.row_sch, entry.schedule.col_sch
 
 

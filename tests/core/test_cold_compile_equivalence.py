@@ -218,3 +218,42 @@ class TestBalancerHandsOver:
             raw.permute_rows(np.array([1, 0]))
         with pytest.raises(MatrixFormatError, match="column index"):
             LoadBalancer(2).balance(raw)
+
+
+class TestScheduleSnapshotsValues:
+    """Without load balancing the balanced matrix is the caller's own; the
+    schedule still holds the values it was built from after the caller
+    edits its data array in place, directly and on a cache hit."""
+
+    @pytest.fixture
+    def edited(self, square_matrix, rng):
+        matrix = square_matrix.with_data(square_matrix.data.copy())
+        original = matrix.data.copy()
+        x = rng.normal(size=matrix.shape[1])
+        pipeline = GustPipeline(
+            LENGTH, load_balance=False, cache=True, backend="legacy-scatter"
+        )
+        handle = pipeline.compile(matrix)
+        schedule, balanced, _ = pipeline.preprocess(matrix)
+        matrix.data[:] *= 2.0  # before any dense read of the schedule
+        want = GustPipeline(LENGTH, load_balance=False, cache=False).preprocess(
+            square_matrix
+        )[0]
+        return pipeline, handle, schedule, balanced, original, x, want
+
+    def test_direct(self, edited, square_matrix):
+        pipeline, handle, schedule, balanced, _, x, want = edited
+        np.testing.assert_array_equal(schedule.m_sch, want.m_sch)
+        np.testing.assert_allclose(handle.matvec(x), square_matrix.matvec(x))
+        y, _ = pipeline.execute_cycle_accurate(schedule, balanced, x)
+        np.testing.assert_allclose(y, square_matrix.matvec(x))
+
+    def test_cache_hit_with_original_values(self, edited, square_matrix):
+        pipeline, _, _, _, original, x, want = edited
+        restored = square_matrix.with_data(original.copy())
+        handle = pipeline.compile(restored)
+        assert handle.stats.preprocess.notes["cache_hit"] == 1.0
+        np.testing.assert_allclose(handle.matvec(x), square_matrix.matvec(x))
+        schedule, _, report = pipeline.preprocess(restored)
+        assert report.notes["cache_hit"] == 1.0
+        np.testing.assert_array_equal(schedule.m_sch, want.m_sch)
